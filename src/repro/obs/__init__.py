@@ -9,8 +9,7 @@ One umbrella for the telemetry the library emits about *itself*:
   ``trace_event`` exporters with byte-identical deterministic output;
 * :mod:`repro.obs.explain` — the ``pgmp explain`` answer for one
   ``FILE:LINE``;
-* :mod:`repro.obs.metrics` — the Prometheus-style metrics registry
-  (promoted from ``repro.service.metrics``);
+* :mod:`repro.obs.metrics` — the Prometheus-style metrics registry;
 * :mod:`repro.obs.logs` — the ``repro`` stdlib-logging hierarchy.
 """
 

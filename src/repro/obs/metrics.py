@@ -1,9 +1,8 @@
 """The metrics registry shared by every layer of the library.
 
-Promoted here from ``repro.service.metrics`` (which re-exports for
-back-compat) so core expansion, the three-pass workflow, and the
-continuous-profiling service all report through one registry type — and,
-via :func:`get_global_metrics`, optionally through one registry instance.
+Core expansion, the three-pass workflow, and the continuous-profiling
+service all report through this one registry type — and, via
+:func:`get_global_metrics`, optionally through one registry instance.
 
 A deliberately small, dependency-free design: monotonic counters,
 point-in-time gauges, and a bounded latency reservoir with p50/p95/p99

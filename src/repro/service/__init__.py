@@ -17,6 +17,7 @@ decides when to recompile, but the optimization itself is still the
 substrates' ordinary expansion.
 """
 
+from repro.obs.metrics import ServiceMetrics
 from repro.service.aggregator import ProfileAggregator
 from repro.service.controller import (
     RecompilationDecision,
@@ -32,8 +33,6 @@ from repro.service.delta import (
     FrameDecoder,
     ProfileDelta,
     encode_frame,
-    hello_frame,
-    negotiated_features,
     read_frame,
     write_frame,
 )
@@ -45,7 +44,6 @@ from repro.service.fleet import (
     RootMerger,
     ShardAggregator,
 )
-from repro.service.metrics import ServiceMetrics
 from repro.service.rollout import (
     CanaryResult,
     CircuitBreaker,
@@ -89,8 +87,6 @@ __all__ = [
     "scheme_static_verifier",
     "StopResult",
     "encode_frame",
-    "hello_frame",
-    "negotiated_features",
     "read_frame",
     "write_frame",
     "parse_address",

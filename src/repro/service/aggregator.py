@@ -1,9 +1,9 @@
 """The aggregation server: many shippers in, one merged profile out.
 
 A :class:`ProfileAggregator` accepts framed connections from any number
-of :class:`~repro.service.shipper.ProfileShipper`s (one handler thread
-per connection, matching the repo's threading-based concurrency story)
-and maintains:
+of :class:`~repro.service.shipper.ProfileShipper`s (all of them on one
+:class:`~repro.service.transport.AsyncFrameServer` event loop) and
+maintains:
 
 * one **live counter set per (dataset, fingerprint) key** — deltas apply
   additively, so N workers shipping the same dataset merge into exactly
@@ -22,7 +22,7 @@ and maintains:
 * an optional :class:`~repro.service.controller.RecompileController`
   evaluated after each checkpoint, closing the continuous loop:
   ingest → merge → drift → re-expand → swap;
-* :class:`~repro.service.metrics.ServiceMetrics` and an optional plain
+* :class:`~repro.obs.metrics.ServiceMetrics` and an optional plain
   ``http.server`` endpoint exposing ``/metrics`` and ``/healthz``.
 """
 
@@ -31,8 +31,6 @@ from __future__ import annotations
 import hashlib
 import http.server
 import json
-import socket
-import socketserver
 import threading
 import time
 from collections.abc import Mapping
@@ -52,17 +50,9 @@ from repro.obs.logs import get_logger
 from repro.profiling.confidence import DatasetConfidence, merge_confidences
 from repro.profiling.reconstruct import confidence_for_counts
 from repro.service.controller import RecompilationDecision, RecompileController
-from repro.service.delta import (
-    WIRE_VERSION,
-    DeltaBatch,
-    DeltaLedger,
-    ProfileDelta,
-    negotiated_features,
-    read_frame_ex,
-    write_frame,
-)
-from repro.service.metrics import ServiceMetrics
-from repro.service.transport import ServiceAddress, parse_address
+from repro.obs.metrics import ServiceMetrics
+from repro.service.delta import DeltaBatch, DeltaLedger, ProfileDelta
+from repro.service.transport import AsyncFrameServer, ServiceAddress, parse_address
 
 logger = get_logger(__name__)
 
@@ -131,70 +121,6 @@ def _dataset_key(dataset: str, fingerprints: Mapping[str, str]) -> str:
     return f"{dataset}@{hashlib.sha256(blob.encode('utf-8')).hexdigest()[:12]}"
 
 
-class _FrameServerMixin:
-    aggregator: "ProfileAggregator"
-    daemon_threads = True
-    allow_reuse_address = True
-
-
-class _TcpServer(_FrameServerMixin, socketserver.ThreadingTCPServer):
-    pass
-
-
-if hasattr(socket, "AF_UNIX"):
-
-    class _UnixServer(_FrameServerMixin, socketserver.ThreadingUnixStreamServer):
-        pass
-
-
-class _Handler(socketserver.BaseRequestHandler):
-    """One shipper connection: a loop of request frame → response frame."""
-
-    def handle(self) -> None:
-        aggregator = self.server.aggregator  # type: ignore[attr-defined]
-        aggregator.metrics.inc("connections_total")
-        if aggregator.read_timeout is not None:
-            # A stalled or vanished client must not pin this handler
-            # thread forever: reads give up after the timeout and the
-            # connection drops (the shipper's spill log replays).
-            self.request.settimeout(aggregator.read_timeout)
-        stream = self.request.makefile("rwb")
-        compress_out = False  # flips on after a v2 hello negotiates zlib
-        try:
-            while True:
-                try:
-                    frame, frame_bytes, frame_raw = read_frame_ex(stream)
-                except TimeoutError:
-                    aggregator.metrics.inc("handler_read_timeouts_total")
-                    logger.warning(
-                        "dropping connection: no frame within %.1fs",
-                        aggregator.read_timeout,
-                    )
-                    return
-                except DeltaFormatError:
-                    # A torn or corrupt stream: nothing sensible can follow.
-                    aggregator.metrics.inc("protocol_errors_total")
-                    return
-                if frame is None:
-                    return
-                if isinstance(frame, dict) and frame.get("type") == "hello":
-                    compress_out = "zlib" in negotiated_features(frame)
-                response = aggregator.handle_frame(
-                    frame, wire_bytes=frame_bytes, raw=frame_raw
-                )
-                if response is None:
-                    return  # shutdown frame: close this connection too
-                write_frame(stream, response, compress=compress_out)
-                stream.flush()
-        except (OSError, ValueError):
-            return  # client vanished mid-frame; its spill will replay
-        finally:
-            try:
-                stream.close()
-            except OSError:
-                pass
-
-
 class ProfileAggregator:
     """Merge profile deltas from a fleet of workers (see module docs)."""
 
@@ -221,7 +147,7 @@ class ProfileAggregator:
         self.state_path = state_path
         self.checkpoint_interval = float(checkpoint_interval)
         self.controller = controller
-        #: per-connection read timeout for handler threads (None = never)
+        #: seconds a connection may take to complete a frame (None = never)
         self.read_timeout = float(read_timeout) if read_timeout else None
         self.policy = ProfilePolicy.coerce(policy)
         self.degradations = (
@@ -257,8 +183,7 @@ class ProfileAggregator:
         self.quarantine = QuarantineReport()
         self._quarantine_index = 0
 
-        self._server: socketserver.BaseServer | None = None
-        self._server_thread: threading.Thread | None = None
+        self._server: AsyncFrameServer | None = None
         self._housekeeper: threading.Thread | None = None
         self._metrics_server: http.server.ThreadingHTTPServer | None = None
         self._metrics_thread: threading.Thread | None = None
@@ -301,7 +226,10 @@ class ProfileAggregator:
         )
         m.describe("datasets", "Live (dataset, fingerprint) counter sets")
         m.describe("ingest_latency", "Per-delta apply latency")
-        m.describe("batch_latency", "Per-batch apply latency (v2 batch frames)")
+        m.describe(
+            "batch_latency",
+            "Per-frame apply latency (a lone delta is a batch of one)",
+        )
         m.describe("recompile_pause", "Recompile-and-swap pause")
         m.describe(
             "fleet_deltas_total",
@@ -342,16 +270,8 @@ class ProfileAggregator:
             self.metrics.inc("deltas_rejected_total")
             return {"type": "ack", "status": "rejected", "error": "not an object"}
         kind = frame.get("type")
-        if kind == "delta":
-            return self._handle_delta(frame, wire_bytes=wire_bytes)
-        if kind == "batch":
+        if kind == "batch" or kind == "delta":
             return self._handle_batch(frame, wire_bytes=wire_bytes)
-        if kind == "hello":
-            return {
-                "type": "hello",
-                "v": WIRE_VERSION,
-                "features": sorted(negotiated_features(frame)),
-            }
         if kind == "stats":
             return self._stats_frame()
         if kind == "metrics":
@@ -372,132 +292,48 @@ class ProfileAggregator:
             "error": f"unknown frame type {kind!r}",
         }
 
-    def _handle_delta(self, frame: dict, wire_bytes: int | None = None) -> dict:
-        try:
-            delta = ProfileDelta.from_json_object(frame)
-        except DeltaFormatError as exc:
-            self.metrics.inc("deltas_rejected_total")
-            degrade(
-                "aggregate",
-                f"malformed delta frame: {exc}",
-                "frame rejected",
-                policy=self.policy,
-                log=self.degradations,
-            )
-            return {"type": "ack", "status": "rejected", "error": str(exc)}
-        shard = frame.get("shard")
-        ack = self._apply_delta(
-            delta, shard=shard if isinstance(shard, str) else None
-        )
-        if ack.get("status") == "applied":
-            self.metrics.inc(
-                "bytes_ingested_total", self._frame_bytes(frame, wire_bytes)
-            )
-        return ack
-
     def _handle_batch(self, frame: dict, wire_bytes: int | None = None) -> dict:
-        """A v2 batch: apply each delta, answer one ack for the lot.
+        """Apply a ``batch`` frame, or a lone ``delta`` as a batch of one.
 
         Batching is pure framing — the per-delta semantics (ledger dedup,
-        quarantine, rejection) are exactly the lone-frame ones, so a
-        batch is never partially retried into double counts. What IS
-        batched is the bookkeeping: counter increments merge into one
-        application per dataset and the metrics update once per batch,
-        which is where the fleet's ingest throughput comes from. The ack
-        carries a per-delta ``acks`` list only when some delta did *not*
-        apply; ``applied == len(deltas)`` with no list means all clear.
+        quarantine, rejection) are the same for every delta, so a batch
+        is never partially retried into double counts. What IS batched
+        is the bookkeeping: counter increments merge into one application
+        per dataset and the metrics update once per frame, which is where
+        the fleet's ingest throughput comes from. The ack carries a
+        per-delta ``acks`` list only when some delta did *not* apply;
+        ``applied == len(deltas)`` with no list means all clear. A lone
+        delta (spill logs and older WAL segments hold them) gets its own
+        ack instead.
         """
         started = time.perf_counter()
+        lone = frame.get("type") == "delta"
         try:
-            batch = DeltaBatch.from_json_object(frame)
+            if lone:
+                shard = frame.get("shard")
+                batch = DeltaBatch(
+                    deltas=(ProfileDelta.from_json_object(frame),),
+                    shard=shard if isinstance(shard, str) else None,
+                )
+            else:
+                batch = DeltaBatch.from_json_object(frame)
         except DeltaFormatError as exc:
             self.metrics.inc("deltas_rejected_total")
             degrade(
                 "aggregate",
-                f"malformed batch frame: {exc}",
+                f"malformed {frame.get('type')} frame: {exc}",
                 "frame rejected",
                 policy=self.policy,
                 log=self.degradations,
             )
             return {"type": "ack", "status": "rejected", "error": str(exc)}
-        acks: list[dict] = []
-        applied = 0
-        counts_total = 0
-        # dataset key -> (slot, merged {point key: by}); one lock+apply
-        # per dataset per batch instead of per delta. Merging is keyed by
-        # the *string* key — str hashes are cached by the interpreter,
-        # while hashing a ProfilePoint walks the whole dataclass chain —
-        # and each unique key is parsed (and validated) exactly once.
-        merged: dict[str, tuple[_DatasetSlot, dict[str, int]]] = {}
-        parsed: dict[str, ProfilePoint] = {}
-        stale_cache: dict[tuple, list[str]] = {}
-        for delta in batch.deltas:
-            fps_key = tuple(sorted(delta.fingerprints.items()))
-            stale = stale_cache.get(fps_key)
-            if stale is None:
-                stale = stale_cache[fps_key] = self._stale_files(
-                    delta.fingerprints
-                )
-            if stale:
-                acks.append(self._quarantine_delta(delta, stale))
-                continue
-            key = _dataset_key(delta.dataset, delta.fingerprints)
-            with self._lock:
-                if not self._ledger.mark(delta.shipper, delta.seq):
-                    self.metrics.inc("deltas_duplicate_total")
-                    acks.append(
-                        {"type": "ack", "seq": delta.seq, "status": "duplicate"}
-                    )
-                    continue
-                slot = self._datasets.get(key)
-                if slot is None:
-                    slot = self._datasets[key] = _DatasetSlot(
-                        delta.dataset, delta.fingerprints
-                    )
-                    self.metrics.set_gauge("datasets", len(self._datasets))
-            try:
-                for point_key in delta.counts:
-                    if point_key not in parsed:
-                        parsed[point_key] = ProfilePoint.from_key(point_key)
-            except Exception as exc:
-                # Same contract as the lone-delta path: the seq stays
-                # marked so the sender's retry cannot loop forever.
-                self.metrics.inc("deltas_rejected_total")
-                degrade(
-                    "aggregate",
-                    f"delta seq={delta.seq} from {delta.shipper!r} carried "
-                    f"unparseable counts: {exc}",
-                    "delta rejected",
-                    policy=self.policy,
-                    log=self.degradations,
-                )
-                acks.append(
-                    {
-                        "type": "ack",
-                        "seq": delta.seq,
-                        "status": "rejected",
-                        "error": str(exc),
-                    }
-                )
-                continue
-            entry = merged.get(key)
-            if entry is None:
-                entry = merged[key] = (slot, {})
-            bucket = entry[1]
-            for point_key, by in delta.counts.items():
-                bucket[point_key] = bucket.get(point_key, 0) + by
-                counts_total += by
-            applied += 1
-            acks.append({"type": "ack", "seq": delta.seq, "status": "applied"})
-            self._merge_slot_confidence(slot, self._delta_confidence(delta))
-        for slot, increments in merged.values():
-            slot.counters.apply_increments(
-                {parsed[k]: by for k, by in increments.items()}
-            )
+        acks, applied, counts_total = self._apply_deltas(batch.deltas)
         if applied:
             self.metrics.inc("deltas_applied_total", applied)
             self.metrics.inc("counts_ingested_total", counts_total)
             if batch.shard is not None:
+                # The shard → root uplink tags its frames; the root
+                # exposes a per-shard ingest breakdown from them.
                 self.metrics.inc_labeled(
                     "fleet_deltas_total", {"shard": batch.shard}, applied
                 )
@@ -509,12 +345,13 @@ class ProfileAggregator:
             )
         elapsed = time.perf_counter() - started
         self.metrics.observe_latency("batch_latency", elapsed)
-        if batch.deltas:
-            # The amortized per-delta apply cost, so ingest_latency stays
-            # comparable between lone-frame and batched shippers.
-            self.metrics.observe_latency(
-                "ingest_latency", elapsed / len(batch.deltas)
-            )
+        # The amortized per-delta apply cost, so ingest_latency stays
+        # comparable across batch sizes.
+        self.metrics.observe_latency(
+            "ingest_latency", elapsed / len(batch.deltas)
+        )
+        if lone:
+            return acks[0]
         response: dict = {
             "type": "ack",
             "status": "batch",
@@ -525,6 +362,120 @@ class ProfileAggregator:
                 {k: v for k, v in ack.items() if k != "type"} for ack in acks
             ]
         return response
+
+    def _apply_deltas(
+        self, deltas: tuple[ProfileDelta, ...]
+    ) -> tuple[list[dict], int, int]:
+        """Apply each delta at most once: ``(acks, applied, counts)``.
+
+        A delta fingerprinting stale source is quarantined; one whose
+        ``(shipper, seq)`` the ledger holds is a duplicate; one whose
+        point keys do not parse is rejected with its seq still marked, so
+        the sender's retry cannot loop forever.
+        """
+        acks: dict[int, dict] = {}  # delta index -> its ack
+        # Merging is keyed by the *string* key — str hashes are cached by
+        # the interpreter, while hashing a ProfilePoint walks the whole
+        # dataclass chain — and each unique key is parsed (and validated)
+        # exactly once, outside the lock.
+        parsed: dict[str, ProfilePoint] = {}
+        # delta index -> (dataset key, confidence it contributes)
+        accepted: dict[int, tuple[str, DatasetConfidence | None]] = {}
+        unparseable: dict[int, Exception] = {}
+        stale_cache: dict[tuple, list[str]] = {}
+        for index, delta in enumerate(deltas):
+            fps_key = tuple(sorted(delta.fingerprints.items()))
+            stale = stale_cache.get(fps_key)
+            if stale is None:
+                stale = stale_cache[fps_key] = self._stale_files(
+                    delta.fingerprints
+                )
+            if stale:
+                acks[index] = self._quarantine_delta(delta, stale)
+                continue
+            try:
+                for point_key in delta.counts:
+                    if point_key not in parsed:
+                        parsed[point_key] = ProfilePoint.from_key(point_key)
+            except Exception as exc:
+                unparseable[index] = exc
+                continue
+            accepted[index] = (
+                _dataset_key(delta.dataset, delta.fingerprints),
+                self._delta_confidence(delta),
+            )
+        # dataset key -> (slot, merged {point key: by})
+        merged: dict[str, tuple[_DatasetSlot, dict[str, int]]] = {}
+        applied = counts_total = duplicates = sampled = 0
+        created = False
+        # Ledger marks and counter applies are one critical section: a
+        # checkpoint snapshotting between them would persist "seq applied"
+        # without its counts, and the restarted aggregator would ack the
+        # shipper's resend as a duplicate.
+        with self._lock:
+            for index, delta in enumerate(deltas):
+                if index in acks:
+                    continue
+                if not self._ledger.mark(delta.shipper, delta.seq):
+                    duplicates += 1
+                    acks[index] = {
+                        "type": "ack", "seq": delta.seq, "status": "duplicate"
+                    }
+                    continue
+                if index in unparseable:
+                    acks[index] = {
+                        "type": "ack",
+                        "seq": delta.seq,
+                        "status": "rejected",
+                        "error": str(unparseable[index]),
+                    }
+                    continue
+                key, confidence = accepted[index]
+                entry = merged.get(key)
+                if entry is None:
+                    slot = self._datasets.get(key)
+                    if slot is None:
+                        slot = self._datasets[key] = _DatasetSlot(
+                            delta.dataset, delta.fingerprints
+                        )
+                        created = True
+                    entry = merged[key] = (slot, {})
+                slot, bucket = entry
+                for point_key, by in delta.counts.items():
+                    bucket[point_key] = bucket.get(point_key, 0) + by
+                    counts_total += by
+                if confidence is not None:
+                    slot.confidence = merge_confidences(
+                        [slot.confidence, confidence]
+                    )
+                    sampled += 1
+                applied += 1
+                acks[index] = {"type": "ack", "seq": delta.seq, "status": "applied"}
+            for slot, increments in merged.values():
+                slot.counters.apply_increments(
+                    {parsed[k]: by for k, by in increments.items()}
+                )
+            datasets = len(self._datasets)
+        if created:
+            self.metrics.set_gauge("datasets", datasets)
+        if duplicates:
+            self.metrics.inc("deltas_duplicate_total", duplicates)
+        if sampled:
+            self.metrics.inc("sampled_deltas_total", sampled)
+        for index, exc in unparseable.items():
+            delta = deltas[index]
+            if acks[index]["status"] != "rejected":
+                continue  # a duplicate: its first copy was judged already
+            self.metrics.inc("deltas_rejected_total")
+            degrade(
+                "aggregate",
+                f"delta seq={delta.seq} from {delta.shipper!r} carried "
+                f"unparseable counts: {exc}",
+                "delta rejected",
+                policy=self.policy,
+                log=self.degradations,
+            )
+        return [acks[i] for i in range(len(deltas))], applied, counts_total
 
     @staticmethod
     def _frame_bytes(frame: dict, wire_bytes: int | None) -> int:
@@ -550,57 +501,6 @@ class ProfileAggregator:
             log=self.degradations,
         )
         return {"type": "ack", "seq": delta.seq, "status": "stale"}
-
-    def _apply_delta(
-        self, delta: ProfileDelta, shard: str | None = None
-    ) -> dict:
-        started = time.perf_counter()
-        stale = self._stale_files(delta.fingerprints)
-        if stale:
-            return self._quarantine_delta(delta, stale)
-
-        key = _dataset_key(delta.dataset, delta.fingerprints)
-        with self._lock:
-            if not self._ledger.mark(delta.shipper, delta.seq):
-                self.metrics.inc("deltas_duplicate_total")
-                return {"type": "ack", "seq": delta.seq, "status": "duplicate"}
-            slot = self._datasets.get(key)
-            if slot is None:
-                slot = self._datasets[key] = _DatasetSlot(
-                    delta.dataset, delta.fingerprints
-                )
-                self.metrics.set_gauge("datasets", len(self._datasets))
-        try:
-            slot.counters.apply_key_increments(delta.counts)
-        except Exception as exc:
-            # Point keys that fail to parse are malformed wire data; the
-            # ledger already marked the seq, which is correct — retrying
-            # the same bad delta must not loop forever.
-            self.metrics.inc("deltas_rejected_total")
-            degrade(
-                "aggregate",
-                f"delta seq={delta.seq} from {delta.shipper!r} carried "
-                f"unparseable counts: {exc}",
-                "delta rejected",
-                policy=self.policy,
-                log=self.degradations,
-            )
-            return {"type": "ack", "seq": delta.seq, "status": "rejected",
-                    "error": str(exc)}
-        self._merge_slot_confidence(slot, self._delta_confidence(delta))
-        self.metrics.inc("deltas_applied_total")
-        self.metrics.inc("counts_ingested_total", delta.total())
-        if shard is not None:
-            # The shard → root uplink tags its frames; the root exposes a
-            # per-shard ingest breakdown without any extra bookkeeping.
-            self.metrics.inc_labeled("fleet_deltas_total", {"shard": shard})
-            self.metrics.inc_labeled(
-                "fleet_counts_total", {"shard": shard}, delta.total()
-            )
-        self.metrics.observe_latency(
-            "ingest_latency", time.perf_counter() - started
-        )
-        return {"type": "ack", "seq": delta.seq, "status": "applied"}
 
     def _handle_rollback(self, frame: dict) -> dict:
         """``pgmp rollback`` over the wire: force a manual rollback."""
@@ -674,15 +574,6 @@ class ProfileAggregator:
         if self.assume_sample_scale is not None and self.assume_sample_scale > 1.0:
             return confidence_for_counts(delta.counts, self.assume_sample_scale)
         return None
-
-    def _merge_slot_confidence(
-        self, slot: _DatasetSlot, confidence: DatasetConfidence | None
-    ) -> None:
-        if confidence is None:
-            return
-        with self._lock:
-            slot.confidence = merge_confidences([slot.confidence, confidence])
-        self.metrics.inc("sampled_deltas_total")
 
     def _stale_files(self, fingerprints: Mapping[str, str]) -> list[str]:
         return sorted(
@@ -882,35 +773,16 @@ class ProfileAggregator:
     @property
     def address(self) -> ServiceAddress:
         """The bound address (with the real port once started)."""
-        if self._server is not None and self.listen.family == "tcp":
-            host, port = self._server.server_address[:2]  # type: ignore[misc]
-            return ServiceAddress(family="tcp", host=str(host), port=int(port))
-        return self.listen
+        return self._server.address if self._server is not None else self.listen
 
     def start(self) -> "ProfileAggregator":
-        """Bind, start the accept loop + housekeeping (+ metrics HTTP)."""
+        """Bind, start the transport + housekeeping (+ metrics HTTP)."""
         if self._server is not None:
             return self
-        if self.listen.family == "unix":
-            if not hasattr(socket, "AF_UNIX"):  # pragma: no cover
-                raise ServiceError(
-                    "unix-domain sockets unavailable on this platform"
-                )
-            server: socketserver.BaseServer = _UnixServer(
-                self.listen.path, _Handler
-            )
-        else:
-            server = _TcpServer((self.listen.host, self.listen.port), _Handler)
-        server.aggregator = self  # type: ignore[attr-defined]
-        self._server = server
+        self._server = AsyncFrameServer(
+            self, self.listen, self.read_timeout
+        ).start()
         self._stop.clear()
-        self._server_thread = threading.Thread(
-            target=server.serve_forever,
-            kwargs={"poll_interval": 0.1},
-            name="pgmp-aggregator-accept",
-            daemon=True,
-        )
-        self._server_thread.start()
         self._housekeeper = threading.Thread(
             target=self._housekeeping, name="pgmp-aggregator-housekeeping",
             daemon=True,
@@ -956,12 +828,8 @@ class ProfileAggregator:
         result = StopResult()
         self._stop.set()
         if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
+            self._join_or_report(self._server.stop(), join_timeout, result)
             self._server = None
-        self._server_thread = self._join_or_report(
-            self._server_thread, join_timeout, result
-        )
         self._housekeeper = self._join_or_report(
             self._housekeeper, join_timeout, result
         )

@@ -31,9 +31,8 @@ from typing import Any
 
 from repro.core.database import ProfileDatabase
 from repro.obs.logs import get_logger
-from repro.obs.metrics import get_global_metrics
+from repro.obs.metrics import ServiceMetrics, get_global_metrics
 from repro.obs.tracer import DecisionRecord, Tracer, using_tracer
-from repro.service.metrics import ServiceMetrics
 from repro.service.rollout import CanaryResult, RolloutGuard, StaticVerifyResult
 
 __all__ = [

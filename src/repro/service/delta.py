@@ -20,18 +20,18 @@ UTF-8 JSON. Length-prefixing makes torn writes detectable (a short tail
 simply never completes a frame) and keeps the parser incremental — no
 sentinel bytes that payload text could collide with.
 
-Wire version 2 adds two negotiated capabilities on top of the v1 frames
-(which remain accepted unchanged, so v1 shippers interoperate):
+Wire version 2 adds two things on top of the v1 frames:
 
 * **batching** — a ``batch`` frame carries many deltas and is answered by
   one ack listing a per-delta status, amortizing the round trip (and, on
-  a durable shard, the fsync) over the whole batch;
+  a durable shard, the fsync) over the whole batch. It is the only frame
+  shippers and shard uplinks send. The lone ``delta`` frame stays
+  readable: spill logs store one per spilled delta, and WAL segments
+  written before batching was the only wire hold them;
 * **compression** — a frame whose length prefix has the top bit set
   carries a zlib-compressed payload. The flag lives outside the payload,
-  so the decoder needs no heuristics; compressed frames are only sent
-  after a ``hello`` exchange proves the peer speaks v2 (a v1 decoder
-  would read the flagged prefix as an over-limit length and reject the
-  connection rather than misparse it).
+  so each frame's sender chooses per frame and the decoder needs no
+  heuristics.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from typing import IO
 
@@ -55,13 +55,9 @@ __all__ = [
     "decode_frame_payload",
     "decode_frame_payload_ex",
     "read_frame",
-    "read_frame_ex",
     "write_frame",
-    "hello_frame",
-    "negotiated_features",
     "WIRE_VERSION",
     "SUPPORTED_WIRE_VERSIONS",
-    "WIRE_FEATURES",
     "MAX_FRAME_BYTES",
     "MAX_BATCH_DELTAS",
 ]
@@ -72,11 +68,9 @@ __all__ = [
 WIRE_VERSION = 2
 
 #: Frame versions the decoder accepts. v1 is the original lone-delta
-#: protocol; v2 adds ``hello``/``batch`` frames and compressed payloads.
+#: protocol; v2 adds ``batch`` frames and compressed payloads. WAL, spill
+#: and state files on disk may hold either.
 SUPPORTED_WIRE_VERSIONS = frozenset({1, 2})
-
-#: Optional capabilities a v2 peer may advertise in its ``hello``.
-WIRE_FEATURES = ("batch", "zlib")
 
 #: Upper bound on a single frame. A delta frame is one flush of one
 #: worker's counters — far below this; anything larger is a corrupt or
@@ -268,38 +262,6 @@ class DeltaBatch:
         )
 
 
-def hello_frame(
-    features: Sequence[str] = WIRE_FEATURES, peer: str | None = None
-) -> dict:
-    """The v2 capability-negotiation frame a client opens with.
-
-    A v1 client never sends one (the type did not exist), so a server
-    that sees deltas before any hello simply serves that connection in
-    v1 mode — negotiation is strictly per connection.
-    """
-    obj: dict = {"type": "hello", "v": WIRE_VERSION, "features": list(features)}
-    if peer is not None:
-        obj["peer"] = peer
-    return obj
-
-
-def negotiated_features(frame: object) -> set[str]:
-    """The capability intersection with a peer's ``hello`` frame.
-
-    Unknown features are ignored (forward compatibility); a malformed
-    hello negotiates nothing, which is always safe — both sides just
-    keep speaking lone uncompressed v1 frames.
-    """
-    if not isinstance(frame, dict) or frame.get("type") != "hello":
-        return set()
-    if frame.get("v") not in SUPPORTED_WIRE_VERSIONS:
-        return set()
-    features = frame.get("features")
-    if not isinstance(features, list):
-        return set()
-    return set(WIRE_FEATURES) & {f for f in features if isinstance(f, str)}
-
-
 class DeltaLedger:
     """Which ``(shipper, seq)`` pairs have been applied — the idempotency
     record.
@@ -387,8 +349,8 @@ def encode_frame(obj: object, *, compress: bool = False) -> bytes:
     """One wire frame: 4-byte big-endian length + compact JSON payload.
 
     With ``compress=True`` the payload is zlib-compressed and the length
-    prefix carries the compressed-payload flag. Only send compressed
-    frames to peers that negotiated the ``zlib`` feature.
+    prefix carries the compressed-payload flag, which every decoder in
+    this module reads.
     """
     payload = json.dumps(obj, separators=(",", ":"), sort_keys=True).encode(
         "utf-8"
@@ -504,19 +466,9 @@ def read_frame(stream: IO[bytes]) -> object | None:
     prefix would start); raises :class:`DeltaFormatError` on a torn frame
     (EOF mid-prefix or mid-payload).
     """
-    return read_frame_ex(stream)[0]
-
-
-def read_frame_ex(stream: IO[bytes]) -> tuple[object | None, int, bytes]:
-    """:func:`read_frame` plus wire byte count and decompressed payload.
-
-    The size (length prefix included) feeds byte accounting without a
-    re-serialization; the payload bytes let a durable receiver persist
-    the frame verbatim. ``(None, 0, b"")`` on clean end-of-stream.
-    """
     header = _read_exactly(stream, _LENGTH.size)
     if header is None:
-        return None, 0, b""
+        return None
     if len(header) < _LENGTH.size:
         raise DeltaFormatError("stream ended mid frame-length prefix")
     (raw,) = _LENGTH.unpack(header)
@@ -527,8 +479,7 @@ def read_frame_ex(stream: IO[bytes]) -> tuple[object | None, int, bytes]:
             f"stream ended mid frame payload ({0 if payload is None else len(payload)}"
             f" of {length} bytes)"
         )
-    obj, json_bytes = decode_frame_payload_ex(payload, compressed=compressed)
-    return obj, _LENGTH.size + length, json_bytes
+    return decode_frame_payload(payload, compressed=compressed)
 
 
 def _read_exactly(stream: IO[bytes], n: int) -> bytes | None:

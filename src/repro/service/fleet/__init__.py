@@ -7,10 +7,9 @@ Optimization*):
 
 * a :class:`HashRing` partitions profile-point fingerprints over N
   shards, deterministically across processes;
-* each :class:`ShardAggregator` ingests its slice over an asyncio
-  transport (:class:`AsyncFrameServer`), WALs every frame before acking,
-  and uplinks cut deltas to the root with persist-cut-then-send
-  semantics — restart-safe in both directions;
+* each :class:`ShardAggregator` ingests its slice, WALs every frame
+  before acking, and uplinks cut deltas to the root with
+  persist-cut-then-send semantics — restart-safe in both directions;
 * the :class:`RootMerger` owns the public checkpoint and the existing
   controller/rollout pipeline, answers ``ring`` queries, and exposes
   per-shard labeled metrics;
@@ -20,7 +19,6 @@ Optimization*):
   (``pgmp serve --shards N``), restarting crashed shards in place.
 """
 
-from repro.service.fleet.aio import AsyncFrameServer
 from repro.service.fleet.ring import DEFAULT_REPLICAS, HashRing
 from repro.service.fleet.root import RootMerger, ShardRecord
 from repro.service.fleet.shard import ShardAggregator, WriteAheadLog
@@ -28,7 +26,6 @@ from repro.service.fleet.shipper import FleetShipper, fetch_ring
 from repro.service.fleet.supervisor import FleetSupervisor
 
 __all__ = [
-    "AsyncFrameServer",
     "DEFAULT_REPLICAS",
     "FleetShipper",
     "FleetSupervisor",

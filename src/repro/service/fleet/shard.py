@@ -1,18 +1,16 @@
 """One shard of the fleet: a durable aggregator owning a ring slice.
 
 A :class:`ShardAggregator` is a :class:`~repro.service.aggregator.
-ProfileAggregator` with three additions:
+ProfileAggregator` with two additions:
 
-* an **asyncio transport** (:class:`~repro.service.fleet.aio.
-  AsyncFrameServer`) so one shard holds >10k mostly-idle shipper
-  connections without a thread each (the threading transport remains
-  available for parity tests);
 * a **write-ahead log**: every delta/batch frame is appended (and
   fsynced) *before* it is applied and acked, so an ack really means
   durable. The WAL is segmented: a checkpoint seals the live segment,
   snapshots state, and prunes sealed segments only once the snapshot is
-  safely on disk — frames that race the snapshot end up in both, which
-  is harmless because the ledger deduplicates on replay;
+  safely on disk. Append-and-apply is atomic with respect to the seal,
+  so every frame in a pruned segment is in the snapshot; frames that
+  race the snapshot end up in both, which is harmless because the
+  ledger deduplicates on replay;
 * an **uplink** to the root merger using *persist-cut-then-send*: uplink
   deltas are cut from the merged counters only at checkpoint time, and
   the cut (sequence number, per-dataset baselines, the pending deltas
@@ -28,25 +26,15 @@ from __future__ import annotations
 
 import json
 import os
-import socket as socket_module
 import threading
-import time
-from collections.abc import Mapping
+from collections.abc import Sequence
 
 from repro.core.errors import DeltaFormatError, ServiceError
 from repro.core.policy import degrade
 from repro.obs.logs import get_logger
 from repro.service.aggregator import ProfileAggregator, StopResult
-from repro.service.delta import (
-    MAX_BATCH_DELTAS,
-    WIRE_VERSION,
-    ProfileDelta,
-    hello_frame,
-    read_frame,
-    write_frame,
-)
-from repro.service.fleet.aio import AsyncFrameServer
-from repro.service.transport import ServiceAddress, connect, parse_address
+from repro.service.delta import WIRE_VERSION, ProfileDelta
+from repro.service.transport import FrameClient, ServiceAddress
 
 logger = get_logger(__name__)
 
@@ -189,22 +177,21 @@ class ShardAggregator(ProfileAggregator):
         shard_id: str,
         uplink: "str | ServiceAddress | None" = None,
         wal_path: "str | os.PathLike[str] | None" = None,
-        async_transport: bool = True,
-        uplink_timeout: float = 5.0,
-        uplink_backoff_base: float = 0.05,
-        uplink_backoff_max: float = 5.0,
         **kwargs,
     ) -> None:
         if not shard_id:
             raise ServiceError("shard_id must be non-empty")
         self.shard_id = str(shard_id)
-        self.async_transport = bool(async_transport)
-        self.uplink = parse_address(uplink) if uplink is not None else None
-        self.uplink_timeout = float(uplink_timeout)
-        self.uplink_backoff_base = float(uplink_backoff_base)
-        self.uplink_backoff_max = float(uplink_backoff_max)
-        self._aio: AsyncFrameServer | None = None
+        #: the connection to the root merger (None: a standalone shard)
+        self.uplink = (
+            FrameClient(uplink, greeting=self._register_frame)
+            if uplink is not None
+            else None
+        )
         self._wal = WriteAheadLog(wal_path) if wal_path is not None else None
+        #: held across each frame's WAL append + apply, and by
+        #: checkpoint() across the seal (see handle_frame)
+        self._wal_gate = threading.Lock()
 
         # Uplink cursor — persisted via _state_extra, restored before use.
         self._uplink_seq = 0
@@ -212,11 +199,6 @@ class ShardAggregator(ProfileAggregator):
         self._uplink_baselines: dict[str, dict[str, int]] = {}
         #: cut-but-unacked uplink deltas, as wire objects, in seq order
         self._uplink_pending: list[dict] = []
-        self._uplink_sock: socket_module.socket | None = None
-        self._uplink_stream = None
-        self._uplink_zlib = False
-        self._uplink_failures = 0
-        self._uplink_retry_at = 0.0
 
         super().__init__(listen, **kwargs)  # runs _load_state/_restore_extra
         if self._wal is not None:
@@ -255,11 +237,14 @@ class ShardAggregator(ProfileAggregator):
         wire_bytes: int | None = None,
         raw: bytes | None = None,
     ) -> dict | None:
-        if (
-            self._wal is not None
-            and isinstance(frame, dict)
-            and frame.get("type") in ("delta", "batch")
+        if self._wal is None or not (
+            isinstance(frame, dict) and frame.get("type") in ("delta", "batch")
         ):
+            return super().handle_frame(frame, wire_bytes=wire_bytes, raw=raw)
+        # Append and apply as one step with respect to checkpoint()'s
+        # seal: a frame in a sealed segment is then already applied, so
+        # the snapshot that lets the segment be pruned holds its counts.
+        with self._wal_gate:
             try:
                 self._wal.append(frame, encoded=raw)
                 self.metrics.inc("wal_frames_total")
@@ -271,7 +256,7 @@ class ShardAggregator(ProfileAggregator):
                     policy=self.policy,
                     log=self.degradations,
                 )
-        return super().handle_frame(frame, wire_bytes=wire_bytes, raw=raw)
+            return super().handle_frame(frame, wire_bytes=wire_bytes, raw=raw)
 
     def _replay_wal(self) -> None:
         """Re-apply WAL frames the last state snapshot may not cover.
@@ -292,13 +277,10 @@ class ShardAggregator(ProfileAggregator):
                 log=self.degradations,
             )
         for frame in frames:
-            # Through the base dispatch (not handle_frame) so replay does
+            # Straight to the apply path (not handle_frame) so replay does
             # not re-append the frames to the WAL they came from.
-            kind = frame.get("type")
-            if kind == "delta":
-                super()._handle_delta(frame)
-            elif kind == "batch":
-                super()._handle_batch(frame)
+            if frame.get("type") in ("delta", "batch"):
+                self._handle_batch(frame)
             self.metrics.inc("wal_replayed_frames_total")
         if frames:
             logger.info(
@@ -376,7 +358,10 @@ class ShardAggregator(ProfileAggregator):
         or re-cuts counts that were never assigned a sent seq. Sealed
         WAL segments are pruned only on a successful snapshot.
         """
-        sealed = self._wal.rotate() if self._wal is not None else []
+        sealed: list[str] = []
+        if self._wal is not None:
+            with self._wal_gate:
+                sealed = self._wal.rotate()
         if self.uplink is not None or self._uplink_baselines:
             with self._lock:
                 self._cut_uplink_locked()
@@ -387,70 +372,21 @@ class ShardAggregator(ProfileAggregator):
             self._flush_uplink()
         return ok
 
-    def _close_uplink(self) -> None:
-        for closable in (self._uplink_stream, self._uplink_sock):
-            if closable is not None:
-                try:
-                    closable.close()
-                except OSError:
-                    pass
-        self._uplink_stream = None
-        self._uplink_sock = None
-        self._uplink_zlib = False
+    def _register_frame(self) -> dict:
+        """The uplink's greeting: announce this shard's serving address."""
+        return {
+            "type": "register",
+            "shard": self.shard_id,
+            "address": str(self.address),
+        }
 
-    def _uplink_note_failure(self, reason: str) -> None:
-        self._close_uplink()
-        self._uplink_failures += 1
-        self.metrics.inc("uplink_failures_total")
-        backoff = min(
-            self.uplink_backoff_max,
-            self.uplink_backoff_base * (2 ** (self._uplink_failures - 1)),
-        )
-        self._uplink_retry_at = time.monotonic() + backoff
-        degrade(
-            "ship",
-            f"root merger {self.uplink} unreachable: {reason}",
-            f"uplink deltas stay pending; retrying in {backoff:.2f}s",
-            policy=self.policy,
-            log=self.degradations,
-        )
-
-    def _ensure_uplink(self) -> bool:
-        if self._uplink_stream is not None:
-            return True
-        if time.monotonic() < self._uplink_retry_at:
-            return False
-        assert self.uplink is not None
-        try:
-            self._uplink_sock = connect(self.uplink, timeout=self.uplink_timeout)
-            self._uplink_stream = self._uplink_sock.makefile("rwb")
-            write_frame(
-                self._uplink_stream,
-                hello_frame(peer=self.uplink_shipper_id),
-            )
-            response = read_frame(self._uplink_stream)
-            features = (
-                response.get("features", [])
-                if isinstance(response, dict)
-                else []
-            )
-            self._uplink_zlib = "zlib" in features
-            write_frame(
-                self._uplink_stream,
-                {
-                    "type": "register",
-                    "shard": self.shard_id,
-                    "address": str(self.address),
-                },
-                compress=self._uplink_zlib,
-            )
-            read_frame(self._uplink_stream)  # ack (or a v1 rejection) — fine
-        except (OSError, DeltaFormatError) as exc:
-            self._uplink_note_failure(str(exc))
-            return False
-        self._uplink_failures = 0
-        self._uplink_retry_at = 0.0
-        return True
+    def _uplink_batch(self, deltas: Sequence[dict]) -> dict:
+        return {
+            "type": "batch",
+            "v": WIRE_VERSION,
+            "deltas": list(deltas),
+            "shard": self.shard_id,
+        }
 
     def _flush_uplink(self) -> bool:
         """Send every pending uplink delta to the root (best effort).
@@ -465,23 +401,13 @@ class ShardAggregator(ProfileAggregator):
             pending = list(self._uplink_pending)
         if not pending:
             return True
-        if not self._ensure_uplink():
+        if not self.uplink.ready():
             return False
         sent: list[dict] = []
         try:
-            for start in range(0, len(pending), MAX_BATCH_DELTAS):
-                chunk = pending[start : start + MAX_BATCH_DELTAS]
-                frame = {
-                    "type": "batch",
-                    "v": WIRE_VERSION,
-                    "deltas": chunk,
-                    "shard": self.shard_id,
-                }
-                assert self._uplink_stream is not None
-                write_frame(
-                    self._uplink_stream, frame, compress=self._uplink_zlib
-                )
-                response = read_frame(self._uplink_stream)
+            for run, response in self.uplink.request_batches(
+                pending, self._uplink_batch
+            ):
                 if (
                     not isinstance(response, dict)
                     or response.get("type") != "ack"
@@ -490,9 +416,17 @@ class ShardAggregator(ProfileAggregator):
                     raise ServiceError(
                         f"root sent no batch ack (got {response!r})"
                     )
-                sent.extend(chunk)
-        except (OSError, ServiceError, DeltaFormatError) as exc:
-            self._uplink_note_failure(str(exc))
+                sent.extend(run)
+        except (OSError, ServiceError) as exc:
+            delay = self.uplink.back_off()
+            self.metrics.inc("uplink_failures_total")
+            degrade(
+                "ship",
+                f"root merger {self.uplink.address} unreachable: {exc}",
+                f"uplink deltas stay pending; retrying in {delay:.2f}s",
+                policy=self.policy,
+                log=self.degradations,
+            )
             return False
         finally:
             if sent:
@@ -509,47 +443,12 @@ class ShardAggregator(ProfileAggregator):
                 )
         return True
 
-    # -- lifecycle (asyncio transport) -------------------------------------
-
-    @property
-    def address(self) -> ServiceAddress:
-        if self._aio is not None:
-            return self._aio.address
-        return ProfileAggregator.address.fget(self)  # type: ignore[attr-defined]
-
-    def start(self) -> "ShardAggregator":
-        if not self.async_transport:
-            super().start()
-            return self
-        if self._aio is not None:
-            return self
-        self._aio = AsyncFrameServer(
-            self, self.listen, read_timeout=self.read_timeout
-        ).start()
-        self._stop.clear()
-        self._housekeeper = threading.Thread(
-            target=self._housekeeping,
-            name=f"pgmp-shard-{self.shard_id}-housekeeping",
-            daemon=True,
-        )
-        self._housekeeper.start()
-        if self.metrics_port is not None:
-            self._start_metrics_server(self.metrics_port)
-        logger.info(
-            "shard %s listening on %s (asyncio transport)",
-            self.shard_id,
-            self.address,
-        )
-        return self
-
     def stop(
         self, join_timeout: float = 10.0, *, checkpoint: bool = True
     ) -> StopResult:
-        if self._aio is not None:
-            self._aio.stop(join_timeout)
-            self._aio = None
         result = super().stop(join_timeout, checkpoint=checkpoint)
-        self._close_uplink()
+        if self.uplink is not None:
+            self.uplink.close()
         if self._wal is not None:
             self._wal.close()
         return result
@@ -557,5 +456,6 @@ class ShardAggregator(ProfileAggregator):
     def __repr__(self) -> str:
         return (
             f"<ShardAggregator {self.shard_id!r} {self.address} "
-            f"uplink={self.uplink} pending={len(self._uplink_pending)}>"
+            f"uplink={self.uplink.address if self.uplink else None} "
+            f"pending={len(self._uplink_pending)}>"
         )

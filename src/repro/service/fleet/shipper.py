@@ -9,11 +9,12 @@ shipper machinery (bounded queue, spill log, backoff, idempotent
 delivery) is reused per slice, unchanged.
 
 When a shard restarts at a new address, the fleet shipper **re-resolves**
-through the root's ``ring`` frame and mutates the affected shipper's
-``address`` in place. In place matters: a fresh ``ProfileShipper`` would
+through the root's ``ring`` frame and retargets the affected shipper's
+client in place. In place matters: a fresh ``ProfileShipper`` would
 restart sequence numbers at 1 under a new identity while the restarted
-shard's restored ledger still remembers the old one — mutation preserves
-the (shipper id, seq) continuity that makes the dedup story airtight.
+shard's restored ledger still remembers the old one — retargeting
+preserves the (shipper id, seq) continuity that makes the dedup story
+airtight.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from repro.core.errors import ServiceError
 from repro.core.policy import DegradationLog, ProfilePolicy, degrade
 from repro.core.profile_point import ProfilePoint
 from repro.obs.logs import get_logger
-from repro.service.delta import ProfileDelta, read_frame, write_frame
+from repro.service.delta import ProfileDelta
 from repro.service.fleet.ring import DEFAULT_REPLICAS, HashRing
 from repro.service.shipper import ProfileShipper, _default_shipper_id
-from repro.service.transport import ServiceAddress, connect, parse_address
+from repro.service.transport import ServiceAddress, parse_address, request
 
 logger = get_logger(__name__)
 
@@ -85,16 +86,7 @@ def fetch_ring(root: "str | ServiceAddress", timeout: float = 5.0) -> dict:
     Returns ``{shard_id: {"address": str, "up": bool}}``; raises
     :class:`ServiceError` when the root's answer is not a ring frame.
     """
-    sock = connect(root, timeout=timeout)
-    try:
-        stream = sock.makefile("rwb")
-        try:
-            write_frame(stream, {"type": "ring"})
-            response = read_frame(stream)
-        finally:
-            stream.close()
-    finally:
-        sock.close()
+    response = request(root, {"type": "ring"}, timeout=timeout)
     if not isinstance(response, dict) or response.get("type") != "ring":
         raise ServiceError(f"root sent no ring frame (got {response!r})")
     shards = response.get("shards")
@@ -209,9 +201,9 @@ class FleetShipper:
         struggling = [
             shard_id
             for shard_id, shipper in self.shippers.items()
-            # _failures is the shipper's own backoff counter; reading it
-            # here keeps failover reactive without a second health probe.
-            if shipper._failures >= self.RERESOLVE_AFTER_FAILURES
+            # The client's own backoff counter keeps failover reactive
+            # without a second health probe.
+            if shipper.client.failures >= self.RERESOLVE_AFTER_FAILURES
         ]
         if not struggling:
             return
@@ -233,9 +225,10 @@ class FleetShipper:
     def re_resolve(self) -> list[str]:
         """Refresh shard addresses from the root's ring frame.
 
-        Mutates each changed shipper's ``address`` **in place** (see the
-        module docs for why a rebuild would break dedup). Returns the
-        shard ids whose address changed.
+        Retargets each changed shipper **in place** (see the module docs
+        for why a rebuild would break dedup), which also drops its
+        connection and backoff. Returns the shard ids whose address
+        changed.
         """
         if self.root is None:
             raise ServiceError("no root address configured for re-resolve")
@@ -250,14 +243,7 @@ class FleetShipper:
                 continue
             parsed = parse_address(address)
             if parsed != shipper.address:
-                shipper.address = parsed
-                # Close any connection to the old address — a half-dead
-                # peer can keep a stale socket "working" long after the
-                # shard it belonged to was replaced.
-                shipper._disconnect()
-                # drop the backoff so the new address is tried promptly
-                shipper._failures = 0
-                shipper._retry_at = 0.0
+                shipper.client.retarget(parsed)
                 changed.append(shard_id)
                 logger.info(
                     "shipper %s re-resolved shard %s to %s",

@@ -28,10 +28,9 @@ import time
 from repro.core.errors import ServiceError
 from repro.core.policy import ProfilePolicy
 from repro.obs.logs import get_logger
-from repro.service.delta import read_frame, write_frame
 from repro.service.fleet.root import RootMerger
 from repro.service.fleet.shard import ShardAggregator
-from repro.service.transport import connect
+from repro.service.transport import request
 
 logger = get_logger(__name__)
 
@@ -153,13 +152,7 @@ class FleetSupervisor:
             try:
                 # A shutdown frame makes the CLI serve loop exit through
                 # its normal path: final checkpoint, final uplink flush.
-                sock = connect(slot.address, timeout=5.0)
-                try:
-                    stream = sock.makefile("rwb")
-                    write_frame(stream, {"type": "shutdown"})
-                    stream.close()
-                finally:
-                    sock.close()
+                request(slot.address, {"type": "shutdown"})
             except OSError:
                 pass
         try:
@@ -350,16 +343,7 @@ class FleetSupervisor:
                 shards[shard_id] = {}
                 continue
             try:
-                sock = connect(slot.address, timeout=5.0)
-                try:
-                    stream = sock.makefile("rwb")
-                    try:
-                        write_frame(stream, {"type": "stats"})
-                        frame = read_frame(stream)
-                    finally:
-                        stream.close()
-                finally:
-                    sock.close()
+                frame = request(slot.address, {"type": "stats"})
             except OSError:
                 frame = {}
             shards[shard_id] = frame if isinstance(frame, dict) else {}

@@ -68,8 +68,8 @@ from typing import Any
 
 from repro.core.database import ProfileDatabase, atomic_write_text
 from repro.obs.logs import get_logger
+from repro.obs.metrics import ServiceMetrics
 from repro.obs.tracer import active_tracer, maybe_span
-from repro.service.metrics import ServiceMetrics
 
 __all__ = [
     "CanaryResult",

@@ -16,17 +16,12 @@ aggregation service. Design invariants:
   deltas go to a bounded in-memory queue, overflow to a
   :class:`~repro.service.spill.SpillLog`, and are replayed after
   reconnecting; the aggregator's ledger drops duplicates.
-* **Reconnects back off exponentially, with jitter.** The exponential
-  schedule alone is synchronized: every worker that lost the same
-  aggregator restart computes the same retry instants and the herd
-  arrives as one thundering wave. A per-shipper random jitter factor
-  (``backoff_jitter``, injectable RNG for tests) de-correlates them.
-* **The wire is negotiated per connection.** A new connection opens with
-  a v2 ``hello``; when the server answers with ``batch``/``zlib``
-  capabilities the shipper drains its queue in compressed batch frames
-  (one round trip and one ack for many deltas). A server that answers
-  anything else — a v1 aggregator rejects the unknown frame type — gets
-  the original lone-delta v1 protocol, unchanged.
+* **Reconnects back off exponentially, with jitter** — the
+  :class:`~repro.service.transport.FrameClient` de-correlates the retries
+  of workers that lost the same aggregator.
+* **Every send is a compressed batch frame** — queued deltas, and the
+  spill log on replay, go out many deltas to a round trip and one ack,
+  in as many frames as the frame-size limit needs.
 """
 
 from __future__ import annotations
@@ -35,26 +30,17 @@ import os
 import random
 import socket
 import threading
-import time
 from collections import deque
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
 from repro.core.counters import BaseCounterSet
 from repro.core.errors import BackpressureError, DeltaFormatError, ServiceError
 from repro.core.policy import DegradationLog, ProfilePolicy, degrade
 from repro.obs.logs import get_logger
 from repro.profiling.reconstruct import confidence_for_counts
-from repro.service.delta import (
-    MAX_BATCH_DELTAS,
-    DeltaBatch,
-    ProfileDelta,
-    hello_frame,
-    negotiated_features,
-    read_frame,
-    write_frame,
-)
+from repro.service.delta import DeltaBatch, ProfileDelta
 from repro.service.spill import SpillLog
-from repro.service.transport import ServiceAddress, connect, parse_address
+from repro.service.transport import FrameClient, ServiceAddress
 
 logger = get_logger(__name__)
 
@@ -63,6 +49,35 @@ __all__ = ["ProfileShipper"]
 
 def _default_shipper_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}-{os.urandom(4).hex()}"
+
+
+def _batch_frame(deltas: Sequence[ProfileDelta]) -> dict:
+    return DeltaBatch(deltas=tuple(deltas)).to_json_object()
+
+
+def _batch_statuses(response: object, count: int) -> list[str]:
+    """Each delta's status from the ack of a ``count``-delta batch."""
+    if (
+        not isinstance(response, dict)
+        or response.get("type") != "ack"
+        or response.get("status") != "batch"
+    ):
+        raise ServiceError(f"aggregator sent no batch ack (got {response!r})")
+    acks = response.get("acks")
+    if acks is None and response.get("applied") == count:
+        return ["applied"] * count  # condensed ack: every delta applied
+    if not isinstance(acks, list) or len(acks) != count:
+        raise ServiceError(
+            f"batch ack carries {len(acks) if isinstance(acks, list) else 0}"
+            f" statuses for {count} deltas"
+        )
+    statuses = []
+    for ack in acks:
+        status = ack.get("status") if isinstance(ack, dict) else None
+        if status not in ("applied", "duplicate", "stale", "rejected"):
+            raise ServiceError(f"batch ack carries unknown status {status!r}")
+        statuses.append(str(status))
+    return statuses
 
 
 class ProfileShipper:
@@ -98,13 +113,19 @@ class ProfileShipper:
         backoff_max: float = 5.0,
         backoff_jitter: float = 0.5,
         rng: random.Random | None = None,
-        negotiate: bool = True,
-        batch_size: int = 256,
         timeout: float = 5.0,
         sample_scale: float | None = None,
     ) -> None:
         self.counters = counters
-        self.address = parse_address(address)
+        #: the aggregator connection, its backoff and its retry gate
+        self.client = FrameClient(
+            address,
+            timeout=timeout,
+            backoff_base=backoff_base,
+            backoff_max=backoff_max,
+            backoff_jitter=backoff_jitter,
+            rng=rng,
+        )
         self.dataset = dataset if dataset is not None else counters.name
         self.fingerprints = dict(fingerprints) if fingerprints else {}
         self.shipper_id = shipper_id or _default_shipper_id()
@@ -116,19 +137,6 @@ class ProfileShipper:
             degradations if degradations is not None else DegradationLog()
         )
         self.spill = SpillLog(spill_path) if spill_path is not None else None
-        self.backoff_base = float(backoff_base)
-        self.backoff_max = float(backoff_max)
-        #: fraction of each backoff randomized (0 = the old deterministic
-        #: schedule; 0.5 spreads retries over ±50% of the nominal delay)
-        self.backoff_jitter = float(backoff_jitter)
-        if not 0.0 <= self.backoff_jitter <= 1.0:
-            raise ServiceError(
-                f"backoff_jitter must be in [0, 1], got {self.backoff_jitter}"
-            )
-        self._rng = rng if rng is not None else random.Random()
-        self.negotiate = bool(negotiate)
-        self.batch_size = min(int(batch_size), MAX_BATCH_DELTAS)
-        self.timeout = float(timeout)
         #: when the wrapped counters hold *sampled* data reconstructed at
         #: this scaling factor, every cut delta carries a matching
         #: confidence record so the aggregator can merge error bars.
@@ -143,11 +151,6 @@ class ProfileShipper:
         self._seq = 0
         self._baseline: dict[str, int] = {}
         self._queue: deque[ProfileDelta] = deque()
-        self._sock: socket.socket | None = None
-        self._stream = None
-        self._features: set[str] = set()  # per-connection, from the hello
-        self._failures = 0
-        self._retry_at = 0.0
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
 
@@ -160,6 +163,11 @@ class ProfileShipper:
         self.spilled_deltas = 0
         self.replayed_deltas = 0
         self.dropped_deltas = 0
+
+    @property
+    def address(self) -> ServiceAddress:
+        """The aggregator's address (``client.retarget`` moves it)."""
+        return self.client.address
 
     # -- delta construction ------------------------------------------------
 
@@ -271,137 +279,42 @@ class ProfileShipper:
                 )
             self.dropped_deltas += 1
 
-    # -- connection management ---------------------------------------------
-
-    def _connected(self) -> bool:
-        return self._stream is not None
-
-    def _disconnect(self) -> None:
-        self._features = set()
-        if self._stream is not None:
-            try:
-                self._stream.close()
-            except OSError:
-                pass
-            self._stream = None
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
+    # -- delivery ----------------------------------------------------------
 
     def _note_failure(self, reason: str) -> None:
-        self._disconnect()
-        self._failures += 1
-        backoff = min(
-            self.backoff_max, self.backoff_base * (2 ** (self._failures - 1))
-        )
-        if self.backoff_jitter:
-            # De-correlate retries: N workers that lost the same aggregator
-            # at the same instant must not all reconnect at the same
-            # instant (the thundering-herd bug). Spread each delay over
-            # ±jitter of its nominal value, still capped at backoff_max.
-            spread = 1.0 + self.backoff_jitter * (2.0 * self._rng.random() - 1.0)
-            backoff = min(self.backoff_max, backoff * spread)
-        self._retry_at = time.monotonic() + backoff
+        delay = self.client.back_off()
         degrade(
             "ship",
             f"aggregator {self.address} unreachable: {reason}",
-            f"buffering deltas; retrying in {backoff:.2f}s "
-            f"(attempt {self._failures})",
+            f"buffering deltas; retrying in {delay:.2f}s "
+            f"(attempt {self.client.failures})",
             policy=self.policy,
             log=self.degradations,
         )
 
-    def _ensure_connection(self) -> bool:
-        if self._connected():
-            return True
-        if time.monotonic() < self._retry_at:
-            return False
-        try:
-            self._sock = connect(self.address, timeout=self.timeout)
-            self._stream = self._sock.makefile("rwb")
-            if self.negotiate:
-                self._negotiate()
-        except (OSError, ServiceError, DeltaFormatError) as exc:
-            self._note_failure(str(exc))
-            return False
-        self._failures = 0
-        self._retry_at = 0.0
-        return True
+    def _send(self, deltas: list[ProfileDelta], replayed: bool) -> int:
+        """Send ``deltas`` as batch frames and account each one's status.
 
-    def _negotiate(self) -> None:
-        """One hello round trip; records the capability intersection.
-
-        A v1 aggregator answers the unknown frame with a rejection ack —
-        ``negotiated_features`` maps that to the empty set and this
-        connection simply speaks v1 (lone uncompressed deltas).
+        Returns how many of them, from the front, were acked. After a
+        failure the client backs off and the rest stays with the caller;
+        the aggregator's ledger settles the resend of a batch that was
+        applied after all.
         """
-        assert self._stream is not None
-        write_frame(self._stream, hello_frame(peer=self.shipper_id))
-        self._stream.flush()
-        response = read_frame(self._stream)
-        if response is None:
-            raise ServiceError("aggregator closed the connection on hello")
-        self._features = negotiated_features(response)
+        acked = 0
+        try:
+            for run, response in self.client.request_batches(deltas, _batch_frame):
+                statuses = _batch_statuses(response, len(run))
+                for delta, status in zip(run, statuses):
+                    self._account(status, delta, replayed)
+                acked += len(run)
+        except (OSError, ServiceError) as exc:
+            self._note_failure(str(exc))
+        return acked
 
-    # -- delivery ----------------------------------------------------------
-
-    def _send_one(self, obj: dict) -> str:
-        """Send one delta frame and wait for its ack; returns the status."""
-        assert self._stream is not None
-        write_frame(self._stream, obj, compress="zlib" in self._features)
-        self._stream.flush()
-        response = read_frame(self._stream)
-        if not isinstance(response, dict) or response.get("type") != "ack":
-            raise ServiceError(
-                f"aggregator sent no ack (got {response!r})"
-            )
-        status = response.get("status")
-        if status not in ("applied", "duplicate", "stale", "rejected"):
-            raise ServiceError(f"aggregator sent unknown ack status {status!r}")
-        return str(status)
-
-    def _send_batch(self, deltas: list[ProfileDelta]) -> list[str]:
-        """Send many deltas in one v2 batch frame; returns each status."""
-        assert self._stream is not None
-        frame = DeltaBatch(deltas=tuple(deltas)).to_json_object()
-        write_frame(self._stream, frame, compress="zlib" in self._features)
-        self._stream.flush()
-        response = read_frame(self._stream)
-        if (
-            not isinstance(response, dict)
-            or response.get("type") != "ack"
-            or response.get("status") != "batch"
-        ):
-            raise ServiceError(
-                f"aggregator sent no batch ack (got {response!r})"
-            )
-        acks = response.get("acks")
-        if acks is None and response.get("applied") == len(deltas):
-            # Condensed ack: every delta applied, no per-delta list.
-            return ["applied"] * len(deltas)
-        if not isinstance(acks, list) or len(acks) != len(deltas):
-            raise ServiceError(
-                f"batch ack carries {len(acks) if isinstance(acks, list) else 0}"
-                f" statuses for {len(deltas)} deltas"
-            )
-        statuses = []
-        for ack in acks:
-            status = ack.get("status") if isinstance(ack, dict) else None
-            if status not in ("applied", "duplicate", "stale", "rejected"):
-                raise ServiceError(
-                    f"batch ack carries unknown status {status!r}"
-                )
-            statuses.append(str(status))
-        return statuses
-
-    def _account(self, status: str, obj: dict, replayed: bool) -> None:
-        total = sum(obj.get("counts", {}).values())
+    def _account(self, status: str, delta: ProfileDelta, replayed: bool) -> None:
         if status == "applied":
             self.shipped_deltas += 1
-            self.shipped_counts += total
+            self.shipped_counts += delta.total()
             if replayed:
                 self.replayed_deltas += 1
         elif status == "duplicate":
@@ -410,7 +323,7 @@ class ProfileShipper:
             self.quarantined_deltas += 1
             degrade(
                 "ship",
-                f"aggregator quarantined delta seq={obj.get('seq')} as stale "
+                f"aggregator quarantined delta seq={delta.seq} as stale "
                 "(source fingerprint mismatch)",
                 "delta dropped; profile for the changed source is not merged",
                 policy=self.policy,
@@ -420,14 +333,19 @@ class ProfileShipper:
             self.rejected_deltas += 1
             degrade(
                 "ship",
-                f"aggregator rejected delta seq={obj.get('seq')} as malformed",
+                f"aggregator rejected delta seq={delta.seq} as malformed",
                 "delta dropped",
                 policy=self.policy,
                 log=self.degradations,
             )
 
     def _replay_spill(self) -> bool:
-        """Deliver every spilled frame; returns True when the spill is clear."""
+        """Deliver every spilled delta; returns True when the spill is clear.
+
+        The log is cleared only after every batch is acked, so a failed
+        replay leaves it whole and the next one resends it all; the
+        aggregator's ledger acks the already-applied part as duplicates.
+        """
         if self.spill is None:
             return True
         frames, torn = self.spill.replay()
@@ -440,33 +358,21 @@ class ProfileShipper:
                 policy=self.policy,
                 log=self.degradations,
             )
-        if not frames and not torn:
-            self.spill.clear()
-            return True
-        delivered = 0
-        try:
-            for frame in frames:
-                if not isinstance(frame, dict):
-                    raise DeltaFormatError(f"spilled frame is not an object: {frame!r}")
-                status = self._send_one(frame)
-                self._account(status, frame, replayed=True)
-                delivered += 1
-        except (OSError, ServiceError) as exc:
-            # Rewrite the spill to only the undelivered tail, then back off.
-            remainder = frames[delivered:]
-            self.spill.clear()
-            for frame in remainder:
-                self.spill.append(frame)
-            self._note_failure(str(exc))
+        deltas = []
+        for frame in frames:
+            try:
+                deltas.append(ProfileDelta.from_json_object(frame))
+            except DeltaFormatError as exc:
+                # One bad frame must not poison the batch around it.
+                degrade(
+                    "ship",
+                    f"spill log {self.spill.path} held a corrupt frame: {exc}",
+                    "discarding that frame",
+                    policy=self.policy,
+                    log=self.degradations,
+                )
+        if self._send(deltas, replayed=True) < len(deltas):
             return False
-        except DeltaFormatError as exc:
-            degrade(
-                "ship",
-                f"spill log {self.spill.path} held a corrupt frame: {exc}",
-                "discarding the remainder of the spill",
-                policy=self.policy,
-                log=self.degradations,
-            )
         self.spill.clear()
         return True
 
@@ -474,34 +380,12 @@ class ProfileShipper:
         """Push spilled then queued deltas to the aggregator (best effort)."""
         if not self._queue and (self.spill is None or not self.spill.size_bytes()):
             return
-        if not self._ensure_connection():
+        if not self.client.ready():
             return
         if not self._replay_spill():
             return
-        while self._queue:
-            if "batch" in self._features and len(self._queue) > 1:
-                deltas = list(self._queue)[: self.batch_size]
-                try:
-                    statuses = self._send_batch(deltas)
-                except (OSError, ServiceError) as exc:
-                    # Nothing was dequeued: the whole batch stays queued
-                    # and resends after reconnect; the aggregator's ledger
-                    # settles any deltas it already applied.
-                    self._note_failure(str(exc))
-                    return
-                for delta, status in zip(deltas, statuses):
-                    self._queue.popleft()
-                    self._account(status, delta.to_json_object(), replayed=False)
-                continue
-            delta = self._queue[0]
-            obj = delta.to_json_object()
-            try:
-                status = self._send_one(obj)
-            except (OSError, ServiceError) as exc:
-                self._note_failure(str(exc))
-                return
+        for _ in range(self._send(list(self._queue), replayed=False)):
             self._queue.popleft()
-            self._account(status, obj, replayed=False)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -555,7 +439,7 @@ class ProfileShipper:
                         policy=self.policy,
                         log=self.degradations,
                     )
-                self._disconnect()
+                self.client.close()
         logger.info(
             "shipper %s closed (shipped=%d spilled=%d dropped=%d)",
             self.shipper_id, self.shipped_deltas, self.spilled_deltas,

@@ -402,9 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=30.0,
         metavar="SECONDS",
-        help="per-connection read timeout for handler threads; a client "
-        "sending no frame for this long is dropped (0 = never, "
-        "default: 30)",
+        help="per-connection read timeout: a client that takes longer "
+        "than this to send a frame is dropped (0 = never, default: 30)",
     )
     p_serve.add_argument(
         "--no-rollout-guard",
@@ -1153,22 +1152,13 @@ def _run_serve_fleet(
 
 
 def _run_rollback(args: argparse.Namespace) -> int:
-    from repro.service.delta import read_frame, write_frame
-    from repro.service.transport import connect
+    from repro.service.transport import request
 
-    sock = connect(args.connect, timeout=args.timeout)
-    try:
-        stream = sock.makefile("rwb")
-        try:
-            write_frame(
-                stream, {"type": "rollback", "reason": args.reason}
-            )
-            stream.flush()
-            response = read_frame(stream)
-        finally:
-            stream.close()
-    finally:
-        sock.close()
+    response = request(
+        args.connect,
+        {"type": "rollback", "reason": args.reason},
+        timeout=args.timeout,
+    )
     if not isinstance(response, dict) or response.get("type") != "rollback":
         print(
             f"pgmp rollback: unexpected response {response!r}",

@@ -1,4 +1,4 @@
-"""Fleet chaos: shard kills must lose nothing; v1 clients must keep working.
+"""Fleet chaos: shard kills must lose nothing.
 
 The acceptance property for the sharded service is exactly the one the
 single aggregator already guarantees, lifted to the fleet: every count a
@@ -14,7 +14,6 @@ from repro.core.counters import CounterSet
 from repro.core.policy import ProfilePolicy
 from repro.core.profile_point import ProfilePoint
 from repro.core.srcloc import SourceLocation
-from repro.service import ProfileShipper
 from repro.service.fleet import FleetShipper, FleetSupervisor
 
 POINTS = [
@@ -121,40 +120,6 @@ def test_killed_shard_resends_are_deduplicated(tmp_path):
             assert slot.aggregator.checkpoint()
         assert fleet.root.total_counts() == expected
         shipper.close()
-
-
-def test_v1_client_interoperates_with_the_fleet_root(tmp_path):
-    """A pre-v2 single-aggregator worker pointed straight at the root
-    (no hello, lone uncompressed deltas) keeps working alongside the
-    sharded pipeline."""
-    with FleetSupervisor(
-        2, tmp_path / "fleet", in_process=True, checkpoint_interval=60.0
-    ) as fleet:
-        fleet_counters = CounterSet(name="ds")
-        fleet_shipper = FleetShipper(
-            fleet_counters, fleet.shard_addresses(), root=fleet.root.address
-        )
-        fleet_total = _pump(fleet_counters, by=4)
-        fleet_shipper.flush()
-        assert _await_root_total(fleet, fleet_total)
-
-        legacy_counters = CounterSet(name="legacy-ds")
-        with ProfileShipper(
-            legacy_counters,
-            fleet.root.address,
-            negotiate=False,  # v1: no hello frame, no batching
-            shipper_id="legacy-worker",
-        ) as legacy:
-            legacy_total = _pump(legacy_counters, by=6)
-            legacy.flush()
-            assert legacy.shipped_counts == legacy_total
-            assert legacy._features == set()
-
-        assert fleet.root.total_counts() == fleet_total + legacy_total
-        stats = fleet.root.handle_frame({"type": "stats"})
-        assert "legacy-worker" in stats["shippers"]
-        assert set(stats["datasets"]) >= {"ds", "legacy-ds"}
-        fleet_shipper.close()
 
 
 @pytest.mark.slow

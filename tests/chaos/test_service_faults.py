@@ -199,15 +199,10 @@ def test_aggregator_kill_and_restart_loses_nothing_checkpointed(tmp_path):
     shipper.flush()
     first.checkpoint()
 
-    # Kill: the process dies with state only as of the checkpoint.
-    # (stop() would checkpoint again; a kill does not get that courtesy,
-    # so shut the sockets down without the final checkpoint. A real kill
-    # also severs established connections — drop the shipper's too, or a
-    # zombie handler thread would keep acking into the dead state.)
-    first._server.shutdown()
-    first._server.server_close()
-    first._stop.set()
-    shipper._disconnect()
+    # Kill: the process dies with state only as of the checkpoint, so
+    # stop without the final checkpoint (stopping also severs the
+    # shipper's established connection, as a real kill would).
+    first.stop(checkpoint=False)
 
     # Deltas shipped while the aggregator is down spill locally.
     counters.increment(POINTS[1], by=4)

@@ -68,13 +68,6 @@ def test_every_service_metric_has_help_in_a_real_scrape():
         assert metrics.help_for(base), f"metric without HELP: {name}"
 
 
-def test_back_compat_import_path_is_the_same_class():
-    from repro.service import metrics as service_metrics
-
-    assert service_metrics.ServiceMetrics is ServiceMetrics
-    assert service_metrics.RENDER_QUANTILES is RENDER_QUANTILES
-
-
 # -- labeled counters ----------------------------------------------------------
 
 

@@ -4,7 +4,9 @@ checkpoint/restart, and the observability surface."""
 import json
 import socket
 import struct
+import threading
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,6 +23,7 @@ from repro.service import (
     read_frame,
     write_frame,
 )
+from repro.service.transport import request
 
 POINTS = [
     ProfilePoint.for_location(SourceLocation("a.ss", n, n + 1)) for n in range(4)
@@ -182,6 +185,47 @@ def test_state_checkpoint_resumes_counts_and_ledger(tmp_path):
     assert db.query(POINTS[0]) == pytest.approx(1.0)
 
 
+def _race_checkpoint_into_next_apply(monkeypatch, checkpoint):
+    """Start ``checkpoint`` on another thread just before the next counter
+    apply, and give it time to finish before the apply goes on."""
+    real = CounterSet.apply_increments
+    racers = []
+
+    def racing(self, increments):
+        if not racers:
+            racers.append(threading.Thread(target=checkpoint))
+            racers[0].start()
+            racers[0].join(timeout=0.2)
+        real(self, increments)
+
+    monkeypatch.setattr(CounterSet, "apply_increments", racing)
+    return racers
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_checkpoint_racing_an_apply_keeps_the_acked_counts(
+    tmp_path, monkeypatch, batched
+):
+    """A checkpoint between the ledger mark and the counter apply would
+    persist "seq applied" without its counts: the restart would hold
+    neither the counts nor a way to get them back (the resend is acked
+    as a duplicate)."""
+    state = str(tmp_path / "state.json")
+    agg = ProfileAggregator("127.0.0.1:0", state_path=state)
+    racers = _race_checkpoint_into_next_apply(monkeypatch, agg.checkpoint)
+    frame = _delta_frame(counts={POINTS[0].key(): 5})
+    if batched:
+        frame = {"type": "batch", "v": 2, "deltas": [frame]}
+    assert agg.handle_frame(frame)["status"] in ("applied", "batch")
+    racers[0].join(timeout=5.0)
+    assert not racers[0].is_alive()
+    agg.stop(checkpoint=False)  # crash right after the racing checkpoint
+    monkeypatch.undo()
+
+    restarted = ProfileAggregator("127.0.0.1:0", state_path=state)
+    assert restarted.total_counts() == 5
+
+
 def test_missing_state_file_is_a_cold_start(tmp_path):
     agg = ProfileAggregator(
         "127.0.0.1:0", state_path=str(tmp_path / "absent.json")
@@ -285,6 +329,39 @@ def test_live_server_survives_torn_client_stream():
         write_frame(stream, {"type": "ping"})
         assert read_frame(stream) == {"type": "pong"}
         sock.close()
+
+
+def test_a_slow_rollback_does_not_stall_other_connections():
+    """Rollback re-expands the program; it runs off the event loop, so
+    ingest on other connections keeps being answered meanwhile."""
+    entered, release = threading.Event(), threading.Event()
+
+    class SlowController:
+        def rollback(self, reason):
+            entered.set()
+            release.wait(timeout=10.0)
+            return SimpleNamespace(recompiled=True, generation=1, reason=reason)
+
+        def rollout_status(self):
+            return None
+
+    replies = []
+    with ProfileAggregator("127.0.0.1:0", controller=SlowController()) as agg:
+        rollback = threading.Thread(
+            target=lambda: replies.append(
+                request(agg.address, {"type": "rollback"}, timeout=15.0)
+            )
+        )
+        rollback.start()
+        try:
+            assert entered.wait(timeout=5.0)
+            ack = request(agg.address, _delta_frame(), timeout=2.0)
+            assert ack["status"] == "applied"
+        finally:
+            release.set()
+            rollback.join(timeout=15.0)
+        assert not rollback.is_alive()
+    assert replies[0]["status"] == "ok"
 
 
 def test_shutdown_frame_sets_the_event():

@@ -11,7 +11,7 @@ from repro.service.controller import (
     RecompileController,
     weight_drift,
 )
-from repro.service.metrics import ServiceMetrics
+from repro.obs.metrics import ServiceMetrics
 
 
 def _point(n: int) -> ProfilePoint:

@@ -1,9 +1,11 @@
 """The sharded fleet: WAL durability, shard uplink, root merge, slices."""
 
+import threading
 import time
 
 import pytest
 
+import repro.service.delta as wire
 from repro.core.counters import CounterSet
 from repro.core.errors import ServiceError
 from repro.core.profile_point import ProfilePoint
@@ -80,7 +82,6 @@ def test_shard_recovers_unacked_counts_from_wal(tmp_path):
         shard_id="0",
         wal_path=tmp_path / "wal",
         state_path=str(tmp_path / "state.json"),
-        async_transport=False,
     )
     for seq in (1, 2, 3):
         ack = shard.handle_frame(_delta_frame(seq, count=5))
@@ -94,7 +95,6 @@ def test_shard_recovers_unacked_counts_from_wal(tmp_path):
         shard_id="0",
         wal_path=tmp_path / "wal",
         state_path=str(tmp_path / "state.json"),
-        async_transport=False,
     )
     assert revived.total_counts() == 15, "WAL replay restored every count"
     # Replay marked the ledger too: the shipper's resend is a duplicate.
@@ -110,13 +110,50 @@ def test_shard_checkpoint_prunes_wal(tmp_path):
         shard_id="0",
         wal_path=tmp_path / "wal",
         state_path=str(tmp_path / "state.json"),
-        async_transport=False,
     )
     shard.handle_frame(_delta_frame(1, count=5))
     assert shard._wal.size_bytes() > 0
     assert shard.checkpoint()
     assert shard._wal.size_bytes() == 0, "checkpointed frames leave the WAL"
     shard.stop()
+
+
+def test_checkpoint_racing_a_wal_append_keeps_the_acked_frame(
+    tmp_path, monkeypatch
+):
+    """A checkpoint between a frame's WAL append and its apply would seal
+    and prune the segment holding it while snapshotting state without
+    it: every frame in a pruned segment must be in the snapshot."""
+
+    def open_shard():
+        return ShardAggregator(
+            "127.0.0.1:0",
+            shard_id="0",
+            wal_path=tmp_path / "wal",
+            state_path=str(tmp_path / "state.json"),
+        )
+
+    shard = open_shard()
+    real = WriteAheadLog.append
+    racers = []
+
+    def racing_append(self, frame, encoded=None):
+        real(self, frame, encoded)
+        if not racers:
+            racers.append(threading.Thread(target=shard.checkpoint))
+            racers[0].start()
+            racers[0].join(timeout=0.2)
+
+    monkeypatch.setattr(WriteAheadLog, "append", racing_append)
+    assert shard.handle_frame(_delta_frame(1, count=5))["status"] == "applied"
+    racers[0].join(timeout=5.0)
+    assert not racers[0].is_alive()
+    shard.stop(checkpoint=False)  # crash right after the racing checkpoint
+    monkeypatch.undo()
+
+    revived = open_shard()
+    assert revived.total_counts() == 5
+    revived.stop(checkpoint=False)
 
 
 # -- shard -> root uplink --------------------------------------------------
@@ -137,7 +174,6 @@ def _shard(tmp_path, root, shard_id="0", **kwargs):
         uplink=root.address,
         wal_path=tmp_path / f"wal-{shard_id}",
         state_path=str(tmp_path / f"state-{shard_id}.json"),
-        async_transport=False,
         **kwargs,
     )
 
@@ -182,7 +218,6 @@ def test_uplink_buffers_while_root_is_down(tmp_path):
         uplink=address,
         wal_path=tmp_path / "wal",
         state_path=str(tmp_path / "state.json"),
-        async_transport=False,
     )
     shard.handle_frame(_delta_frame(1, count=5))
     assert shard.checkpoint(), "checkpoint succeeds; the uplink just waits"
@@ -195,6 +230,51 @@ def test_uplink_buffers_while_root_is_down(tmp_path):
         assert shard.checkpoint()
         assert merger.total_counts() == 7
         assert not shard._uplink_pending
+    shard.stop(checkpoint=False)
+
+
+def test_uplink_backlog_past_the_frame_limit_drains_exactly_once(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 2048)
+    points = [
+        ProfilePoint.for_location(SourceLocation("backlog.ss", n, n + 1))
+        for n in range(10)
+    ]
+    with RootMerger("127.0.0.1:0") as merger:
+        address = merger.address
+    shard = ShardAggregator(
+        "127.0.0.1:0",
+        shard_id="0",
+        uplink=address,
+        wal_path=tmp_path / "wal",
+        state_path=str(tmp_path / "state.json"),
+    )
+    for seq in range(1, 21):  # one ~600-byte uplink delta per checkpoint
+        shard.handle_frame(
+            ProfileDelta(
+                shipper="s",
+                seq=seq,
+                dataset="ds",
+                counts={point.key(): 1 for point in points},
+            ).to_json_object()
+        )
+        assert shard.checkpoint()
+    assert len(shard._uplink_pending) == 20
+    with RootMerger(address) as merger:
+        frames = []
+        handle = merger.handle_frame
+
+        def recording(frame, **kwargs):
+            frames.append(frame)
+            return handle(frame, **kwargs)
+
+        monkeypatch.setattr(merger, "handle_frame", recording)
+        shard.uplink.retarget(address)
+        assert shard.checkpoint()
+        assert merger.total_counts() == 200, "each count exactly once"
+        assert not shard._uplink_pending
+        assert sum(frame["type"] == "batch" for frame in frames) > 1
     shard.stop(checkpoint=False)
 
 

@@ -2,7 +2,7 @@
 
 import threading
 
-from repro.service.metrics import LATENCY_WINDOW, ServiceMetrics
+from repro.obs.metrics import LATENCY_WINDOW, ServiceMetrics
 
 
 def test_counters_and_gauges():

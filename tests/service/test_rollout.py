@@ -625,6 +625,29 @@ def test_stop_reports_a_stuck_thread():
         release.set()
 
 
+def test_stop_names_a_wedged_transport_thread():
+    import threading
+
+    entered, release = threading.Event(), threading.Event()
+
+    class WedgedAggregator(ProfileAggregator):
+        def handle_frame(self, frame, wire_bytes=None, raw=None):
+            if frame == {"type": "ping"}:
+                entered.set()
+                release.wait(timeout=10.0)  # a handler stuck on the loop
+            return super().handle_frame(frame, wire_bytes=wire_bytes, raw=raw)
+
+    agg = WedgedAggregator("127.0.0.1:0").start()
+    with connect(agg.address) as sock, sock.makefile("wb") as stream:
+        write_frame(stream, {"type": "ping"})
+        try:
+            assert entered.wait(timeout=5.0)
+            result = agg.stop(join_timeout=0.1)
+            assert "pgmp-aggregator-transport" in result.stuck_threads
+        finally:
+            release.set()
+
+
 # -- static verification (pre-canary) ------------------------------------------
 
 

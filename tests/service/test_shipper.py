@@ -1,17 +1,22 @@
 """The shipper client: delta cutting, backpressure, reconnect, spill."""
 
+import errno
 import socket
+import threading
 import time
 
 import pytest
 
+import repro.service.delta as wire
 from repro.core.counters import CounterSet, ShardedCounterSet
-from repro.core.errors import BackpressureError
+from repro.core.errors import BackpressureError, DeltaFormatError
 from repro.core.policy import ProfilePolicy
 from repro.core.profile_point import ProfilePoint
 from repro.core.srcloc import SourceLocation
 from repro.service import ProfileAggregator, ProfileShipper
+from repro.service.delta import ProfileDelta, read_frame, write_frame
 from repro.service.spill import SpillLog
+from repro.service.transport import FrameClient
 
 POINTS = [
     ProfilePoint.for_location(SourceLocation("w.ss", n, n + 1)) for n in range(4)
@@ -83,7 +88,7 @@ def test_unreachable_aggregator_buffers_and_backs_off():
     assert shipper.flush() is not None
     assert shipper.shipped_deltas == 0
     assert len(shipper._queue) == 1
-    assert shipper._retry_at > time.monotonic()
+    assert shipper.client.retry_at > time.monotonic()
     degr = shipper.degradations.entries()
     assert any("unreachable" in entry.reason for entry in degr)
 
@@ -100,11 +105,11 @@ def test_backoff_schedule_is_exponential_and_capped():
     )
     delays = []
     for _ in range(4):
-        shipper._retry_at = 0.0  # reopen the gate for the next attempt
+        shipper.client.retry_at = 0.0  # reopen the gate for the next attempt
         before = time.monotonic()
         counters.increment(POINTS[0])
         shipper.flush()
-        delays.append(shipper._retry_at - before)
+        delays.append(shipper.client.retry_at - before)
     assert delays[0] == pytest.approx(0.05, abs=0.03)
     assert delays[1] == pytest.approx(0.10, abs=0.03)
     assert delays[2] == pytest.approx(0.20, abs=0.03)
@@ -129,11 +134,11 @@ def test_backoff_jitter_decorrelates_retries():
         )
         out = []
         for _ in range(4):
-            shipper._retry_at = 0.0
+            shipper.client.retry_at = 0.0
             before = time.monotonic()
             counters.increment(POINTS[0])
             shipper.flush()
-            out.append(shipper._retry_at - before)
+            out.append(shipper.client.retry_at - before)
         return out
 
     a = delays_for(random.Random(1))
@@ -212,13 +217,140 @@ def test_queue_overflow_spills_to_disk_and_replays(tmp_path):
 
     # The aggregator comes up on the address the shipper was aiming at.
     with ProfileAggregator(dead) as aggregator:
-        shipper._retry_at = 0.0
+        shipper.client.retry_at = 0.0
         shipper.flush()
         shipper.close()
         assert aggregator.total_counts() == 3, "spilled + queued all arrive"
     assert shipper.replayed_deltas == 2
     assert shipper.shipped_deltas == 3
     assert SpillLog(spill_path).size_bytes() == 0, "spill cleared after replay"
+
+
+class _AckDroppingProxy:
+    """Serves frames through ``aggregator.handle_frame``, but applies the
+    first delta or batch frame without answering it and drops that
+    connection."""
+
+    def __init__(self, aggregator):
+        self.aggregator = aggregator
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.address = f"127.0.0.1:{self.listener.getsockname()[1]}"
+        self.dropped = False
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self.listener.accept()
+            except OSError:
+                return  # closed
+            with conn, conn.makefile("rwb") as stream:
+                while (frame := read_frame(stream)) is not None:
+                    reply = self.aggregator.handle_frame(frame)
+                    data = frame.get("type") in ("delta", "batch")
+                    if data and not self.dropped:
+                        self.dropped = True
+                        break
+                    write_frame(stream, reply)
+
+    def close(self):
+        self.listener.close()
+        self.thread.join(timeout=5.0)
+        assert not self.thread.is_alive()
+
+
+def test_failed_spill_replay_keeps_the_log_whole(tmp_path, monkeypatch):
+    """A replay whose ack is lost must not rewrite the spill log: with
+    the disk full the rewrite raises out of flush() and loses the tail.
+    The whole log resends instead, and the ledger settles the overlap."""
+    spill_path = tmp_path / "spill.bin"
+    for seq in (1, 2, 3):
+        SpillLog(spill_path).append(
+            ProfileDelta(
+                shipper="earlier-incarnation",
+                seq=seq,
+                dataset="ds",
+                counts={POINTS[seq].key(): 5},
+            ).to_json_object()
+        )
+
+    def disk_full(self, obj):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(SpillLog, "append", disk_full)
+    with ProfileAggregator("127.0.0.1:0") as aggregator:
+        proxy = _AckDroppingProxy(aggregator)
+        shipper = ProfileShipper(
+            CounterSet(name="ds"),
+            proxy.address,
+            policy=ProfilePolicy.WARN,
+            spill_path=spill_path,
+            backoff_base=0.01,
+            backoff_max=0.01,
+        )
+        try:
+            shipper.flush()  # the replay's ack is lost
+            time.sleep(0.05)  # let the backoff gate reopen
+            shipper.flush()
+            assert aggregator.total_counts() == 15, "each count exactly once"
+            assert SpillLog(spill_path).size_bytes() == 0
+        finally:
+            shipper.close()
+            proxy.close()
+
+
+@pytest.mark.parametrize("max_pending", [1, 64], ids=["spilled", "queued"])
+def test_a_backlog_past_the_frame_limit_drains_exactly_once(
+    tmp_path, monkeypatch, max_pending
+):
+    """An outage's backlog too large for one frame goes out in several
+    batch frames instead of retrying one oversized frame forever."""
+    monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 2048)
+    points = [
+        ProfilePoint.for_location(SourceLocation("backlog.ss", n, n + 1))
+        for n in range(10)
+    ]
+    spill_path = tmp_path / "spill.bin"
+    counters = CounterSet(name="ds")
+    shipper = ProfileShipper(
+        counters,
+        _dead_address(),
+        policy=ProfilePolicy.IGNORE,
+        max_pending=max_pending,
+        spill_path=spill_path,
+        backoff_base=30.0,
+    )
+    for _ in range(20):  # ~600 bytes a delta, ~12 KiB in all
+        for point in points:
+            counters.increment(point)
+        shipper.flush()
+    assert shipper.shipped_deltas == 0
+    with ProfileAggregator("127.0.0.1:0") as aggregator:
+        frames = []
+        handle = aggregator.handle_frame
+
+        def recording(frame, **kwargs):
+            frames.append(frame)
+            return handle(frame, **kwargs)
+
+        monkeypatch.setattr(aggregator, "handle_frame", recording)
+        shipper.client.retarget(aggregator.address)
+        shipper.flush()
+        assert aggregator.total_counts() == 200, "each count exactly once"
+        assert shipper.shipped_deltas == 20
+        assert SpillLog(spill_path).size_bytes() == 0
+        assert len(frames) > 1
+        shipper.close()
+
+
+def test_an_item_too_large_for_any_frame_raises_before_sending(monkeypatch):
+    monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 64)
+    client = FrameClient(_dead_address())
+    batches = client.request_batches(["x" * 100], lambda run: list(run))
+    with pytest.raises(DeltaFormatError, match="limit"):
+        next(batches)
+    assert client.ready(), "no connection was attempted"
 
 
 def test_close_spills_undelivered_deltas(tmp_path):

@@ -1,4 +1,4 @@
-"""Wire protocol v2: hello negotiation, batches, compression, v1 interop."""
+"""Wire protocol v2: batches and compression."""
 
 import io
 import zlib
@@ -13,13 +13,10 @@ from repro.service import ProfileAggregator, ProfileShipper
 from repro.service.delta import (
     MAX_BATCH_DELTAS,
     MAX_FRAME_BYTES,
-    WIRE_FEATURES,
     WIRE_VERSION,
     DeltaBatch,
     ProfileDelta,
     encode_frame,
-    hello_frame,
-    negotiated_features,
     read_frame,
     write_frame,
 )
@@ -84,23 +81,6 @@ def test_corrupt_compressed_payload_is_a_format_error():
         read_frame(io.BytesIO(framed))
 
 
-# -- hello negotiation -----------------------------------------------------
-
-
-def test_hello_negotiates_the_feature_intersection():
-    assert negotiated_features(hello_frame()) == set(WIRE_FEATURES)
-    assert negotiated_features(hello_frame(["zlib"])) == {"zlib"}
-    assert negotiated_features(hello_frame(["zlib", "quic"])) == {"zlib"}
-
-
-def test_malformed_hello_negotiates_nothing():
-    assert negotiated_features({"type": "delta"}) == set()
-    assert negotiated_features({"type": "hello", "v": 99}) == set()
-    assert negotiated_features({"type": "hello", "v": 2, "features": "x"}) == set()
-    assert negotiated_features(None) == set()
-    assert negotiated_features("hello") == set()
-
-
 # -- batch frames ----------------------------------------------------------
 
 
@@ -136,8 +116,13 @@ def test_delta_emits_v2_but_accepts_v1():
 
 def test_aggregator_answers_hello_and_accepts_a_batch():
     with ProfileAggregator("127.0.0.1:0") as aggregator:
-        hello_ack = aggregator.handle_frame(hello_frame(peer="t"))
-        assert negotiated_features(hello_ack) == set(WIRE_FEATURES)
+        # A client from before batch-only shipping still opens with a
+        # hello; it gets a well-formed rejection, not a dropped connection.
+        hello_ack = aggregator.handle_frame(
+            {"type": "hello", "v": 2, "features": ["batch", "zlib"]}
+        )
+        assert hello_ack["type"] == "ack"
+        assert hello_ack["status"] == "rejected"
         batch = DeltaBatch(deltas=(_delta(1, 5), _delta(2, 7)))
         ack = aggregator.handle_frame(batch.to_json_object())
         assert ack["type"] == "ack"
@@ -158,54 +143,24 @@ def test_batch_acks_are_per_delta_and_idempotent():
 
 
 def test_v2_shipper_negotiates_batches_over_the_wire():
+    """A shipper sends its whole queue as one compressed batch frame."""
     counters = CounterSet(name="ds")
     with ProfileAggregator("127.0.0.1:0") as aggregator:
         with ProfileShipper(counters, aggregator.address) as shipper:
             # Pre-load a queue of deltas (as if cut while disconnected)
             # so the first drain has something to batch.
-            for n in range(5):
-                shipper._queue.append(
-                    _delta(n + 1, n + 1, shipper=shipper.shipper_id)
-                )
+            deltas = [
+                _delta(n + 1, n + 1, shipper=shipper.shipper_id)
+                for n in range(5)
+            ]
+            shipper._queue.extend(deltas)
             shipper._seq = 5
             shipper.flush()
-            assert shipper._features == set(WIRE_FEATURES)
             assert shipper.shipped_deltas == 5
         assert aggregator.total_counts() == 15
         assert aggregator.metrics.counter("deltas_applied_total") == 5
         # one batch frame carried all five deltas
         assert aggregator.metrics.latency_count("batch_latency") == 1
-
-
-def test_v1_client_still_interoperates():
-    """A pre-v2 shipper never sends hello and expects lone-delta acks."""
-    counters = CounterSet(name="ds")
-    with ProfileAggregator("127.0.0.1:0") as aggregator:
-        shipper = ProfileShipper(
-            counters, aggregator.address, negotiate=False
-        )
-        counters.increment(POINTS[0], by=9)
-        shipper.flush()
-        counters.increment(POINTS[1], by=4)
-        shipper.flush()
-        shipper.close()
-        assert shipper._features == set()
-        assert aggregator.total_counts() == 13
-
-
-def test_mixed_v1_and_v2_clients_share_one_aggregator():
-    with ProfileAggregator("127.0.0.1:0") as aggregator:
-        old = CounterSet(name="ds")
-        new = CounterSet(name="ds")
-        with ProfileShipper(
-            old, aggregator.address, shipper_id="v1", negotiate=False
-        ) as legacy, ProfileShipper(
-            new, aggregator.address, shipper_id="v2"
-        ) as modern:
-            old.increment(POINTS[0], by=3)
-            legacy.flush()
-            new.increment(POINTS[0], by=4)
-            modern.flush()
-        assert aggregator.total_counts() == 7
-        stats = aggregator.handle_frame({"type": "stats"})
-        assert stats["shippers"] == {"v1": 1, "v2": 1}
+        # bytes_ingested_total counts wire bytes: the frame was compressed
+        plain = encode_frame(DeltaBatch(deltas=tuple(deltas)).to_json_object())
+        assert aggregator.metrics.counter("bytes_ingested_total") < len(plain)
