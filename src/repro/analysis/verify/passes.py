@@ -27,14 +27,16 @@ contract rests on — without executing the artifact:
 * **PGMP506** (info) — artifacts the backend could not translate are
   enumerated with their fallback reason instead of failing silently.
 
-All diagnostics use ``pass_name="verify"`` and anchor to the artifact's
-filename, with generated-source line numbers where the finding has one.
+The generated source is parsed once and walked once: :class:`_Walk`
+carries every check's state through a single recursive traversal and
+keeps each check's first finding in source order. All diagnostics use
+``pass_name="verify"`` and anchor to the artifact's filename, with
+generated-source line numbers where the finding has one.
 """
 
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterator
 
 from repro.analysis.diagnostics import AnalysisReport, Severity
 from repro.analysis.verify.expected import ExpectedEvents, expected_events
@@ -42,7 +44,7 @@ from repro.core.srcloc import SourceLocation
 from repro.scheme.compile_py.artifact import CompiledArtifact
 from repro.scheme.core_forms import Program
 
-__all__ = ["PASS_NAME", "verify_artifact"]
+__all__ = ["PASS_NAME", "derive_expected", "verify_artifact"]
 
 PASS_NAME = "verify"
 
@@ -54,6 +56,9 @@ _ALLOWED_BUILTINS = frozenset({"len", "type", "int", "RecursionError"})
 _ARITH_OPS = (ast.Add, ast.Sub, ast.Mult)
 _ORDER_OPS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
 
+#: A check's first finding: its message and the node it anchors to.
+_Finding = tuple[str, ast.AST | None]
+
 
 def _anchor(filename: str, node: ast.AST | None = None) -> SourceLocation:
     line = getattr(node, "lineno", 0) if node is not None else 0
@@ -62,327 +67,6 @@ def _anchor(filename: str, node: ast.AST | None = None) -> SourceLocation:
 
 
 # -- AST helpers -------------------------------------------------------------
-
-
-def _hook_index(stmt: ast.stmt) -> int | None:
-    """The ``i`` of an ``H[i]()`` statement, or None."""
-    if not isinstance(stmt, ast.Expr) or not isinstance(stmt.value, ast.Call):
-        return None
-    call = stmt.value
-    if call.args or call.keywords:
-        return None
-    func = call.func
-    if (
-        isinstance(func, ast.Subscript)
-        and isinstance(func.value, ast.Name)
-        and func.value.id == "H"
-        and isinstance(func.slice, ast.Constant)
-        and isinstance(func.slice.value, int)
-    ):
-        return func.slice.value
-    return None
-
-
-def _is_charge(stmt: ast.stmt) -> bool:
-    """Whether ``stmt`` is a bare ``C()`` budget charge."""
-    return (
-        isinstance(stmt, ast.Expr)
-        and isinstance(stmt.value, ast.Call)
-        and isinstance(stmt.value.func, ast.Name)
-        and stmt.value.func.id == "C"
-        and not stmt.value.args
-        and not stmt.value.keywords
-    )
-
-
-def _ordered_statements(stmts: list[ast.stmt]) -> Iterator[ast.stmt]:
-    """Every statement, in source (line) order."""
-    for stmt in stmts:
-        yield stmt
-        for field in ("body", "orelse", "finalbody"):
-            sub = getattr(stmt, field, None)
-            if sub:
-                yield from _ordered_statements(sub)
-        for handler in getattr(stmt, "handlers", None) or []:
-            yield from _ordered_statements(handler.body)
-
-
-def _statement_lists(stmts: list[ast.stmt]) -> Iterator[list[ast.stmt]]:
-    """Every block (list of sibling statements), outermost first."""
-    yield stmts
-    for stmt in stmts:
-        for field in ("body", "orelse", "finalbody"):
-            sub = getattr(stmt, field, None)
-            if sub:
-                yield from _statement_lists(sub)
-        for handler in getattr(stmt, "handlers", None) or []:
-            yield from _statement_lists(handler.body)
-
-
-# -- PGMP501: instrumentation-site order -------------------------------------
-
-
-def _check_hooks(
-    report: AnalysisReport,
-    tree: ast.Module,
-    artifact: CompiledArtifact,
-    expected: ExpectedEvents | None,
-    prefix: str,
-    filename: str,
-) -> None:
-    hooks = [
-        (stmt, index)
-        for stmt in _ordered_statements(tree.body)
-        if (index := _hook_index(stmt)) is not None
-    ]
-    instrumented = "instr" in artifact.flavor
-    if not instrumented:
-        if hooks:
-            stmt, index = hooks[0]
-            report.emit(
-                "PGMP501",
-                prefix + f"non-instrumented flavor emits hook call H[{index}]",
-                _anchor(filename, stmt),
-                PASS_NAME,
-            )
-        return
-    for position, (stmt, index) in enumerate(hooks):
-        if index != position:
-            report.emit(
-                "PGMP501",
-                prefix
-                + f"hook call #{position} in textual order has index "
-                f"{index}; emission order must match traversal order",
-                _anchor(filename, stmt),
-                PASS_NAME,
-            )
-            return
-    if len(hooks) != len(artifact.hook_sites):
-        report.emit(
-            "PGMP501",
-            prefix
-            + f"generated source contains {len(hooks)} hook call(s) but the "
-            f"artifact records {len(artifact.hook_sites)} hook site(s)",
-            _anchor(filename),
-            PASS_NAME,
-        )
-        return
-    if expected is None:
-        return
-    derived = expected.hook_sites
-    recorded = [tuple(site) for site in artifact.hook_sites]
-    if len(recorded) != len(derived):
-        report.emit(
-            "PGMP501",
-            prefix
-            + f"artifact records {len(recorded)} hook site(s) but the "
-            f"interpreter traversal produces {len(derived)}",
-            _anchor(filename),
-            PASS_NAME,
-        )
-        return
-    for index, (got, want) in enumerate(zip(recorded, derived)):
-        if got != want:
-            report.emit(
-                "PGMP501",
-                prefix
-                + f"hook site #{index} diverges from interpreter order: "
-                f"recorded point {got[0]} (is_app={got[1]}), expected "
-                f"{want[0]} (is_app={want[1]})",
-                _anchor(filename),
-                PASS_NAME,
-            )
-            return
-
-
-# -- PGMP502: step-budget charge sites ---------------------------------------
-
-
-def _check_charges(
-    report: AnalysisReport,
-    tree: ast.Module,
-    artifact: CompiledArtifact,
-    expected: ExpectedEvents | None,
-    prefix: str,
-    filename: str,
-) -> None:
-    charges = [
-        stmt for stmt in _ordered_statements(tree.body) if _is_charge(stmt)
-    ]
-    budgeted = "budget" in artifact.flavor
-    if not budgeted:
-        if charges:
-            report.emit(
-                "PGMP502",
-                prefix + "non-budget flavor emits a C() charge",
-                _anchor(filename, charges[0]),
-                PASS_NAME,
-            )
-        return
-    if artifact.charge_count >= 0 and len(charges) != artifact.charge_count:
-        report.emit(
-            "PGMP502",
-            prefix
-            + f"generated source contains {len(charges)} C() charge(s) but "
-            f"codegen recorded {artifact.charge_count}",
-            _anchor(filename),
-            PASS_NAME,
-        )
-        return
-    if expected is not None and len(charges) != expected.charge_count:
-        report.emit(
-            "PGMP502",
-            prefix
-            + f"generated source contains {len(charges)} C() charge(s) but "
-            f"the interpreter traversal evaluates {expected.charge_count} "
-            f"node(s)",
-            _anchor(filename),
-            PASS_NAME,
-        )
-        return
-    if "instr" not in artifact.flavor:
-        return
-    # Charge-then-bump: in instr+budget artifacts every hook call must be
-    # immediately preceded by its node's charge, as sibling statements.
-    for block in _statement_lists(tree.body):
-        for position, stmt in enumerate(block):
-            if _hook_index(stmt) is None:
-                continue
-            if position == 0 or not _is_charge(block[position - 1]):
-                report.emit(
-                    "PGMP502",
-                    prefix
-                    + "hook call is not immediately preceded by its C() "
-                    "charge (interpreter order is charge, then bump)",
-                    _anchor(filename, stmt),
-                    PASS_NAME,
-                )
-                return
-
-
-# -- PGMP503: lexical environment --------------------------------------------
-
-
-def _check_entry_point(
-    report: AnalysisReport, tree: ast.Module, prefix: str, filename: str
-) -> bool:
-    for stmt in tree.body:
-        if isinstance(stmt, ast.FunctionDef) and stmt.name == "_pgmp_main":
-            params = [arg.arg for arg in stmt.args.args]
-            if params != ["GB", "H", "C"] or stmt.args.vararg is not None:
-                report.emit(
-                    "PGMP503",
-                    prefix
-                    + f"_pgmp_main has parameters ({', '.join(params)}); "
-                    "the execution contract requires (GB, H, C)",
-                    _anchor(filename, stmt),
-                    PASS_NAME,
-                )
-                return False
-            return True
-    report.emit(
-        "PGMP503",
-        prefix
-        + "runnable artifact's source defines no _pgmp_main(GB, H, C) "
-        "entry point — the callable cannot be the code it claims to be",
-        _anchor(filename),
-        PASS_NAME,
-    )
-    return False
-
-
-def _local_names(fn: ast.FunctionDef) -> set[str]:
-    """Names bound inside ``fn`` (excluding nested function bodies)."""
-    names = {arg.arg for arg in fn.args.args}
-    if fn.args.vararg is not None:
-        names.add(fn.args.vararg.arg)
-    stack: list[ast.AST] = list(fn.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.FunctionDef):
-            names.add(node.name)
-            continue  # its body is a separate scope
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            names.add(node.id)
-        if isinstance(node, ast.ExceptHandler) and node.name:
-            names.add(node.name)
-        stack.extend(ast.iter_child_nodes(node))
-    return names
-
-
-def _check_scope(
-    report: AnalysisReport, tree: ast.Module, prefix: str, filename: str
-) -> None:
-    module_names: set[str] = set()
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Import):
-            for alias in stmt.names:
-                module_names.add(alias.asname or alias.name.split(".")[0])
-        elif isinstance(stmt, ast.ImportFrom):
-            for alias in stmt.names:
-                module_names.add(alias.asname or alias.name)
-        elif isinstance(stmt, ast.FunctionDef):
-            module_names.add(stmt.name)
-        elif isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                for node in ast.walk(target):
-                    if isinstance(node, ast.Name):
-                        module_names.add(node.id)
-
-    def visit(fn: ast.FunctionDef, enclosing: tuple[set[str], ...]) -> bool:
-        frames = enclosing + (_local_names(fn),)
-        stack: list[ast.AST] = list(fn.body)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, ast.FunctionDef):
-                if not visit(node, frames):
-                    return False
-                continue
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                name = node.id
-                if (
-                    not any(name in frame for frame in frames)
-                    and name not in module_names
-                    and name not in _ALLOWED_BUILTINS
-                ):
-                    report.emit(
-                        "PGMP503",
-                        prefix
-                        + f"generated code reads {name!r}, which is bound in "
-                        "no enclosing scope of the core-form lexical "
-                        "environment",
-                        _anchor(filename, node),
-                        PASS_NAME,
-                    )
-                    return False
-            stack.extend(ast.iter_child_nodes(node))
-        return True
-
-    for stmt in tree.body:
-        if isinstance(stmt, ast.FunctionDef):
-            if not visit(stmt, ()):
-                return
-
-
-# -- PGMP504: self-tail-call loop rebinding ----------------------------------
-
-
-def _function_params(fn: ast.FunctionDef) -> set[str]:
-    """The loop variables of a generated function: names bound from the
-    ``*_a`` argument tuple at the top of the body."""
-    params: set[str] = set()
-    for stmt in fn.body:
-        if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
-            continue
-        target = stmt.targets[0]
-        if not isinstance(target, ast.Name):
-            continue
-        if any(
-            isinstance(node, ast.Name) and node.id == "_a"
-            for node in ast.walk(stmt.value)
-        ):
-            params.add(target.id)
-    return params
 
 
 def _is_param_assign(stmt: ast.stmt, params: set[str]) -> bool:
@@ -400,37 +84,12 @@ def _is_param_assign(stmt: ast.stmt, params: set[str]) -> bool:
     return False
 
 
-def _check_tail_loops(
-    report: AnalysisReport, tree: ast.Module, prefix: str, filename: str
-) -> None:
-    for fn in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
-        params = _function_params(fn)
-        loops = [
-            node
-            for node in ast.walk(fn)
-            if isinstance(node, ast.While)
-            and isinstance(node.test, ast.Constant)
-            and node.test.value is True
-        ]
-        for loop in loops:
-            for block in _statement_lists(loop.body):
-                for position, stmt in enumerate(block):
-                    if not isinstance(stmt, ast.Continue):
-                        continue
-                    if not _check_continue(
-                        report, block, position, params, prefix, filename
-                    ):
-                        return
-
-
-def _check_continue(
-    report: AnalysisReport,
-    block: list[ast.stmt],
-    position: int,
-    params: set[str],
-    prefix: str,
-    filename: str,
-) -> bool:
+def _continue_finding(
+    block: list[ast.stmt], position: int, params: set[str]
+) -> _Finding | None:
+    """PGMP504 for the ``continue`` at ``block[position]``, rebinding
+    ``params``: the assignments right before it must be one parallel
+    tuple assignment."""
     run: list[ast.Assign] = []
     index = position - 1
     while index >= 0 and _is_param_assign(block[index], params):
@@ -439,73 +98,34 @@ def _check_continue(
         run.append(assign)
         index -= 1
     if len(run) > 1:
-        report.emit(
-            "PGMP504",
-            prefix
-            + f"self-tail-call rebinds loop parameters in {len(run)} "
+        return (
+            f"self-tail-call rebinds loop parameters in {len(run)} "
             "sequential assignments before continue; a later assignment "
             "can read an already-rebound parameter",
-            _anchor(filename, run[0]),
-            PASS_NAME,
+            run[0],
         )
-        return False
     if not run:
-        return True  # zero-parameter loop: bare continue is fine
+        return None  # zero-parameter loop: bare continue is fine
     assign = run[0]
     target = assign.targets[0]
     if isinstance(target, ast.Name):
-        return True  # one variable: nothing to clobber
+        return None  # one variable: nothing to clobber
     assert isinstance(target, ast.Tuple)
     value = assign.value
     if not isinstance(value, ast.Tuple) or len(value.elts) != len(target.elts):
-        report.emit(
-            "PGMP504",
-            prefix
-            + "self-tail-call rebinding is not a parallel tuple assignment "
+        return (
+            "self-tail-call rebinding is not a parallel tuple assignment "
             "of matching arity",
-            _anchor(filename, assign),
-            PASS_NAME,
+            assign,
         )
-        return False
     names = [elt.id for elt in target.elts if isinstance(elt, ast.Name)]
     if len(set(names)) != len(target.elts):
-        report.emit(
-            "PGMP504",
-            prefix
-            + "self-tail-call rebinding assigns the same loop parameter "
+        return (
+            "self-tail-call rebinding assigns the same loop parameter "
             "twice in one tuple assignment",
-            _anchor(filename, assign),
-            PASS_NAME,
+            assign,
         )
-        return False
-    return True
-
-
-# -- PGMP505: inline-primitive identity guards -------------------------------
-
-
-def _guard_kinds(test: ast.expr) -> tuple[bool, bool]:
-    """``(has identity guard, has dynamic type test)`` for an if-test."""
-    identity = False
-    typed = False
-    for node in ast.walk(test):
-        if (
-            isinstance(node, ast.Compare)
-            and len(node.ops) == 1
-            and isinstance(node.ops[0], ast.Is)
-            and isinstance(node.comparators[0], ast.Attribute)
-            and isinstance(node.comparators[0].value, ast.Name)
-            and node.comparators[0].value.id == "RT"
-            and node.comparators[0].attr.startswith("P_")
-        ):
-            identity = True
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "type"
-        ):
-            typed = True
-    return identity, typed
+    return None
 
 
 def _is_arity_check(node: ast.Compare) -> bool:
@@ -517,85 +137,378 @@ def _is_arity_check(node: ast.Compare) -> bool:
     )
 
 
-def _check_inline_guards(
-    report: AnalysisReport, tree: ast.Module, prefix: str, filename: str
-) -> None:
-    def visit(node: ast.AST, identity: bool, typed: bool) -> bool:
-        if isinstance(node, ast.If):
-            guard_identity, guard_typed = _guard_kinds(node.test)
-            if not visit(node.test, identity, typed):
-                return False
-            for stmt in node.body:
-                if not visit(
-                    stmt, identity or guard_identity, typed or guard_typed
-                ):
-                    return False
-            # The else branch is the generic fallback: the guard does NOT
-            # cover it, so fast ops there are findings.
-            for stmt in node.orelse:
-                if not visit(stmt, identity, typed):
-                    return False
-            return True
-        if (
-            isinstance(node, ast.BinOp)
-            and isinstance(node.op, _ARITH_OPS)
-            and not (identity and typed)
-        ):
-            report.emit(
-                "PGMP505",
-                prefix
-                + "inlined arithmetic fast path is not protected by an "
-                "identity guard plus int type test",
-                _anchor(filename, node),
-                PASS_NAME,
-            )
-            return False
-        if (
-            isinstance(node, ast.Compare)
-            and any(isinstance(op, _ORDER_OPS) for op in node.ops)
-            and not _is_arity_check(node)
-            and not (identity and typed)
-        ):
-            report.emit(
-                "PGMP505",
-                prefix
-                + "inlined comparison fast path is not protected by an "
-                "identity guard plus int type test",
-                _anchor(filename, node),
-                PASS_NAME,
-            )
-            return False
-        if (
-            isinstance(node, ast.Attribute)
-            and node.attr in ("car", "cdr")
-            and isinstance(node.ctx, ast.Load)
-            and not (isinstance(node.value, ast.Name) and node.value.id == "RT")
-            and not identity
-        ):
-            report.emit(
-                "PGMP505",
-                prefix
-                + f"inlined .{node.attr} field access is not protected by "
-                "a primitive identity guard",
-                _anchor(filename, node),
-                PASS_NAME,
-            )
-            return False
-        for child in ast.iter_child_nodes(node):
-            if not visit(child, identity, typed):
-                return False
-        return True
+# -- the traversal -----------------------------------------------------------
 
-    visit(tree, False, False)
+
+class _Walk:
+    """One traversal of a generated module, carrying every check's state.
+
+    Counts (hook calls, charges) are complete; everything else keeps
+    only the first finding in source order, as each check reports at
+    most one.
+    """
+
+    def __init__(self) -> None:
+        # PGMP501 / PGMP502
+        self.hooks = 0
+        self.first_hook: tuple[ast.stmt, int] | None = None
+        self.misordered: tuple[ast.stmt, int, int] | None = None
+        self.charges = 0
+        self.first_charge: ast.stmt | None = None
+        self.uncharged_hook: ast.stmt | None = None
+        # PGMP503, for the current scope (a function, or the module): every
+        # name bound anywhere in it (nested function bodies excluded), and
+        # the reads it did not bind when they were seen, in source order.
+        # Those are resolved once the scope is complete, at its exit.
+        self.bound: set[str] = set()
+        self.reads: list[ast.Name] = []
+        self.reads_a = False
+        # PGMP504: the loop parameters (names bound from the ``*_a``
+        # argument tuple by top-level assignments) of every enclosing
+        # function, and of the functions around the innermost ``while
+        # True`` loop
+        self.function_params: tuple[set[str], ...] = ()
+        self.loop_params: tuple[set[str], ...] = ()
+        self.tail_loop: _Finding | None = None
+        # PGMP505: guards established by enclosing if-tests, and those
+        # seen in the if-test being walked
+        self.identity = self.typed = False
+        self.test_identity = self.test_typed = False
+        self.guard: _Finding | None = None
+
+    def block(self, stmts: list[ast.stmt], params: set[str] | None = None) -> None:
+        """Walk sibling statements; ``params`` collects the loop
+        parameters when ``stmts`` is a function's body."""
+        after_charge = False
+        for position, stmt in enumerate(stmts):
+            if isinstance(stmt, ast.Expr):
+                call = stmt.value
+                if isinstance(call, ast.Call) and not call.args and not call.keywords:
+                    func = call.func
+                    # Only the reads of ``C`` and ``H`` matter to the other
+                    # checks in a budget charge or a hook call.
+                    if isinstance(func, ast.Name) and func.id == "C":  # ``C()``
+                        self.charge(stmt)
+                        self.expr(func)
+                        after_charge = True
+                        continue
+                    if (
+                        isinstance(func, ast.Subscript)
+                        and isinstance(func.value, ast.Name)
+                        and func.value.id == "H"
+                        and isinstance(func.slice, ast.Constant)
+                        and isinstance(func.slice.value, int)
+                    ):  # ``H[i]()``
+                        self.hook(stmt, func.slice.value, after_charge)
+                        self.expr(func.value)
+                        after_charge = False
+                        continue
+                self.expr(call)
+            elif isinstance(stmt, ast.Assign):
+                for target in stmt.targets:
+                    self.expr(target)
+                self.reads_a = False
+                self.expr(stmt.value)
+                if params is not None and self.reads_a and len(stmt.targets) == 1:
+                    target = stmt.targets[0]
+                    if isinstance(target, ast.Name):
+                        params.add(target.id)
+            elif isinstance(stmt, ast.If):
+                self.test_identity = self.test_typed = False
+                self.expr(stmt.test)
+                identity, typed = self.identity, self.typed
+                self.identity = identity or self.test_identity
+                self.typed = typed or self.test_typed
+                self.block(stmt.body)
+                # The else branch is the generic fallback: the guard does
+                # NOT cover it, so fast ops there are findings.
+                self.identity, self.typed = identity, typed
+                self.block(stmt.orelse)
+            elif isinstance(stmt, ast.FunctionDef):
+                self.function(stmt)
+            elif (
+                isinstance(stmt, ast.While)
+                and isinstance(stmt.test, ast.Constant)
+                and stmt.test.value is True
+            ):
+                outer = self.loop_params
+                self.loop_params = self.function_params
+                self.block(stmt.body)
+                self.loop_params = outer
+                self.block(stmt.orelse)
+            elif isinstance(stmt, ast.Continue):
+                if self.tail_loop is None:
+                    for loop_params in self.loop_params:
+                        finding = _continue_finding(stmts, position, loop_params)
+                        if finding is not None:
+                            self.tail_loop = finding
+                            break
+            elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                # Only the module's imports are part of the environment
+                # codegen establishes.
+                if not self.function_params:
+                    for alias in stmt.names:
+                        name = alias.asname or alias.name
+                        if isinstance(stmt, ast.Import):
+                            name = name.split(".")[0]
+                        self.bound.add(name)
+            else:
+                self.children(stmt)
+            after_charge = False
+
+    def charge(self, stmt: ast.Expr) -> None:
+        if self.first_charge is None:
+            self.first_charge = stmt
+        self.charges += 1
+
+    def hook(self, stmt: ast.Expr, index: int, after_charge: bool) -> None:
+        if self.first_hook is None:
+            self.first_hook = (stmt, index)
+        if self.misordered is None and index != self.hooks:
+            self.misordered = (stmt, self.hooks, index)
+        if self.uncharged_hook is None and not after_charge:
+            self.uncharged_hook = stmt
+        self.hooks += 1
+
+    def function(self, fn: ast.FunctionDef) -> None:
+        self.bound.add(fn.name)
+        # Decorators, defaults and annotations run in the enclosing scope.
+        for decorator in fn.decorator_list:
+            self.expr(decorator)
+        self.children(fn.args)
+        if fn.returns is not None:
+            self.expr(fn.returns)
+        outer = self.bound, self.reads, self.function_params
+        bound = {arg.arg for arg in fn.args.args}
+        if fn.args.vararg is not None:
+            bound.add(fn.args.vararg.arg)
+        params: set[str] = set()
+        self.bound, self.reads = bound, []
+        self.function_params = outer[2] + (params,)
+        self.block(fn.body, params)
+        reads = self.reads
+        self.bound, self.reads, self.function_params = outer
+        self.reads.extend(node for node in reads if node.id not in bound)
+
+    def expr(self, node: ast.AST) -> None:
+        if isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Load):
+                if node.id == "_a":
+                    self.reads_a = True
+                if node.id not in self.bound:
+                    self.reads.append(node)
+            else:
+                self.bound.add(node.id)
+        elif isinstance(node, ast.Constant):
+            return
+        elif isinstance(node, ast.Attribute):
+            if (
+                node.attr in ("car", "cdr")
+                and not self.identity
+                and self.guard is None
+                and isinstance(node.ctx, ast.Load)
+                and not (isinstance(node.value, ast.Name) and node.value.id == "RT")
+            ):
+                self.guard = (
+                    f"inlined .{node.attr} field access is not protected by "
+                    "a primitive identity guard",
+                    node,
+                )
+            self.expr(node.value)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "type":
+                self.test_typed = True
+            self.expr(func)
+            for arg in node.args:
+                self.expr(arg)
+            for keyword in node.keywords:
+                self.expr(keyword.value)
+        elif isinstance(node, ast.Compare):
+            self.compare(node)
+            self.expr(node.left)
+            for comparator in node.comparators:
+                self.expr(comparator)
+        elif isinstance(node, ast.BinOp):
+            if (
+                isinstance(node.op, _ARITH_OPS)
+                and not (self.identity and self.typed)
+                and self.guard is None
+            ):
+                self.guard = (
+                    "inlined arithmetic fast path is not protected by an "
+                    "identity guard plus int type test",
+                    node,
+                )
+            self.expr(node.left)
+            self.expr(node.right)
+        else:
+            if isinstance(node, ast.ExceptHandler) and node.name:
+                self.bound.add(node.name)
+            self.children(node)
+
+    def compare(self, node: ast.Compare) -> None:
+        ops = node.ops
+        if len(ops) == 1 and isinstance(ops[0], ast.Is):
+            right = node.comparators[0]
+            if (
+                isinstance(right, ast.Attribute)
+                and isinstance(right.value, ast.Name)
+                and right.value.id == "RT"
+                and right.attr.startswith("P_")
+            ):
+                self.test_identity = True
+        if (
+            self.guard is None
+            and not (self.identity and self.typed)
+            and any(isinstance(op, _ORDER_OPS) for op in ops)
+            and not _is_arity_check(node)
+        ):
+            self.guard = (
+                "inlined comparison fast path is not protected by an "
+                "identity guard plus int type test",
+                node,
+            )
+
+    def children(self, node: ast.AST) -> None:
+        for field in node._fields:
+            value = getattr(node, field, None)
+            if type(value) is list:
+                if value and isinstance(value[0], ast.stmt):
+                    self.block(value)
+                    continue
+                for item in value:
+                    if isinstance(item, ast.AST):
+                        self.expr(item)
+            elif isinstance(value, ast.AST):
+                self.expr(value)
+
+
+# -- verdicts, in emission order ---------------------------------------------
+
+
+def _entry_point(tree: ast.Module) -> _Finding | None:
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == "_pgmp_main":
+            params = [arg.arg for arg in stmt.args.args]
+            if params != ["GB", "H", "C"] or stmt.args.vararg is not None:
+                return (
+                    f"_pgmp_main has parameters ({', '.join(params)}); "
+                    "the execution contract requires (GB, H, C)",
+                    stmt,
+                )
+            return None
+    return (
+        "runnable artifact's source defines no _pgmp_main(GB, H, C) "
+        "entry point — the callable cannot be the code it claims to be",
+        None,
+    )
+
+
+def _hooks(
+    walk: _Walk, artifact: CompiledArtifact, expected: ExpectedEvents | None
+) -> _Finding | None:
+    if "instr" not in artifact.flavor:
+        if walk.first_hook is not None:
+            stmt, index = walk.first_hook
+            return f"non-instrumented flavor emits hook call H[{index}]", stmt
+        return None
+    if walk.misordered is not None:
+        stmt, position, index = walk.misordered
+        return (
+            f"hook call #{position} in textual order has index "
+            f"{index}; emission order must match traversal order",
+            stmt,
+        )
+    if walk.hooks != len(artifact.hook_sites):
+        return (
+            f"generated source contains {walk.hooks} hook call(s) but the "
+            f"artifact records {len(artifact.hook_sites)} hook site(s)",
+            None,
+        )
+    if expected is None:
+        return None
+    derived = expected.hook_sites
+    recorded = [tuple(site) for site in artifact.hook_sites]
+    if len(recorded) != len(derived):
+        return (
+            f"artifact records {len(recorded)} hook site(s) but the "
+            f"interpreter traversal produces {len(derived)}",
+            None,
+        )
+    for index, (got, want) in enumerate(zip(recorded, derived)):
+        if got != want:
+            return (
+                f"hook site #{index} diverges from interpreter order: "
+                f"recorded point {got[0]} (is_app={got[1]}), expected "
+                f"{want[0]} (is_app={want[1]})",
+                None,
+            )
+    return None
+
+
+def _charges(
+    walk: _Walk, artifact: CompiledArtifact, expected: ExpectedEvents | None
+) -> _Finding | None:
+    if "budget" not in artifact.flavor:
+        if walk.first_charge is not None:
+            return "non-budget flavor emits a C() charge", walk.first_charge
+        return None
+    if artifact.charge_count >= 0 and walk.charges != artifact.charge_count:
+        return (
+            f"generated source contains {walk.charges} C() charge(s) but "
+            f"codegen recorded {artifact.charge_count}",
+            None,
+        )
+    if expected is not None and walk.charges != expected.charge_count:
+        return (
+            f"generated source contains {walk.charges} C() charge(s) but "
+            f"the interpreter traversal evaluates {expected.charge_count} "
+            f"node(s)",
+            None,
+        )
+    # Charge-then-bump: in instr+budget artifacts every hook call must be
+    # immediately preceded by its node's charge, as sibling statements.
+    if "instr" in artifact.flavor and walk.uncharged_hook is not None:
+        return (
+            "hook call is not immediately preceded by its C() "
+            "charge (interpreter order is charge, then bump)",
+            walk.uncharged_hook,
+        )
+    return None
+
+
+def _scope(walk: _Walk) -> _Finding | None:
+    # After the walk, ``walk.reads`` holds the reads no function bound.
+    for node in walk.reads:
+        if node.id not in walk.bound and node.id not in _ALLOWED_BUILTINS:
+            return (
+                f"generated code reads {node.id!r}, which is bound in "
+                "no enclosing scope of the core-form lexical environment",
+                node,
+            )
+    return None
 
 
 # -- the per-artifact entry point --------------------------------------------
+
+
+def derive_expected(program: Program | None) -> ExpectedEvents | Exception | None:
+    """The interpreter-order events of ``program``, or the exception that
+    deriving them raised (reported per artifact as a PGMP501 warning)."""
+    if program is None:
+        return None
+    try:
+        return expected_events(program)
+    except Exception as exc:
+        return exc
 
 
 def verify_artifact(
     artifact: CompiledArtifact,
     program: Program | None = None,
     filename: str | None = None,
+    derived: ExpectedEvents | Exception | None = None,
 ) -> AnalysisReport:
     """Statically validate one compiled artifact (PGMP5xx diagnostics).
 
@@ -604,7 +517,8 @@ def verify_artifact(
     a disk-loaded cache entry) the expected-order comparison degrades to
     the source-level invariants, which still catch swapped indices,
     missing charges, scope escapes, unsafe rebinding, and unguarded fast
-    paths.
+    paths. ``derived`` is :func:`derive_expected` of the program when the
+    caller verifies several flavors of it; it replaces ``program``.
     """
     report = AnalysisReport()
     name = filename if filename is not None else artifact.filename
@@ -642,25 +556,35 @@ def verify_artifact(
             PASS_NAME,
         )
         return report
-    target = program if program is not None else artifact.program
+    if derived is None:
+        derived = derive_expected(
+            program if program is not None else artifact.program
+        )
     expected: ExpectedEvents | None = None
-    if target is not None:
-        try:
-            expected = expected_events(target)
-        except Exception as exc:
-            report.emit(
-                "PGMP501",
-                prefix
-                + f"could not re-derive expected instrumentation sites: "
-                f"{type(exc).__name__}: {exc}",
-                _anchor(name),
-                PASS_NAME,
-                severity=Severity.WARNING,
-            )
-    _check_entry_point(report, tree, prefix, name)
-    _check_hooks(report, tree, artifact, expected, prefix, name)
-    _check_charges(report, tree, artifact, expected, prefix, name)
-    _check_scope(report, tree, prefix, name)
-    _check_tail_loops(report, tree, prefix, name)
-    _check_inline_guards(report, tree, prefix, name)
+    if isinstance(derived, Exception):
+        report.emit(
+            "PGMP501",
+            prefix
+            + f"could not re-derive expected instrumentation sites: "
+            f"{type(derived).__name__}: {derived}",
+            _anchor(name),
+            PASS_NAME,
+            severity=Severity.WARNING,
+        )
+    else:
+        expected = derived
+    walk = _Walk()
+    walk.block(tree.body)
+    findings = (
+        ("PGMP503", _entry_point(tree)),
+        ("PGMP501", _hooks(walk, artifact, expected)),
+        ("PGMP502", _charges(walk, artifact, expected)),
+        ("PGMP503", _scope(walk)),
+        ("PGMP504", walk.tail_loop),
+        ("PGMP505", walk.guard),
+    )
+    for code, finding in findings:
+        if finding is not None:
+            message, node = finding
+            report.emit(code, prefix + message, _anchor(name, node), PASS_NAME)
     return report

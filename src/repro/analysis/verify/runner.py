@@ -23,7 +23,11 @@ from typing import cast
 from repro.analysis.diagnostics import AnalysisReport
 from repro.analysis.pyast_passes import _embedded_scheme_strings
 from repro.analysis.runner import _guess_kind, expand_source_paths
-from repro.analysis.verify.passes import PASS_NAME, verify_artifact
+from repro.analysis.verify.passes import (
+    PASS_NAME,
+    derive_expected,
+    verify_artifact,
+)
 from repro.core.database import ProfileDatabase
 from repro.core.srcloc import SourceLocation
 from repro.scheme.compile_py.artifact import (
@@ -58,15 +62,17 @@ def verify_program(
     Reuses artifacts already memoized on ``program.artifacts`` (the
     pipeline's per-flavor cache) — so a poisoned in-memory artifact is
     *verified as-is*, not silently recompiled into innocence — and
-    memoizes any flavor it has to compile itself.
+    memoizes any flavor it has to compile itself. The expected events
+    are derived from the core forms once, for all flavors.
     """
     report = AnalysisReport()
+    derived = derive_expected(program)
     for flavor in flavors:
         artifact = program.artifacts.get(flavor)
         if artifact is None:
             artifact = compile_program(program, filename, flavor)
             program.artifacts[flavor] = artifact
-        report.extend(verify_artifact(artifact, program=program, filename=filename))
+        report.extend(verify_artifact(artifact, filename=filename, derived=derived))
     return report
 
 

@@ -411,6 +411,7 @@ class SchemeSystem:
             )
             if artifact.runnable:
                 metrics.inc("artifact_compiles_total")
+            program.artifacts.setdefault(flavor, artifact)
             cache.put(artifact)
         return artifact
 
