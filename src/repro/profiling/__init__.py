@@ -5,13 +5,16 @@ Full counter instrumentation (:mod:`repro.scheme.instrument`,
 but too hot to leave on under fleet-scale live traffic. This package adds
 the sampling tier on top of the same counter machinery:
 
-* :mod:`repro.profiling.sampler` — the two sampling engines: a
-  ``sys.monitoring`` (PEP 669) sampler for the pyast substrate and a
-  periodic counter-subsetting sampler for the Scheme substrate (both
-  interpreter and ``compile_py`` backend share it through the
-  instrumentation hook seam).
-* :mod:`repro.profiling.reconstruct` — statistical reconstruction of
-  sampled counts back into unbiased count estimates and dataset weights.
+* :mod:`repro.profiling.sampler` — the two sampling engines: the
+  per-point stride gate :class:`~repro.profiling.sampler.SamplingCollector`,
+  which the Scheme substrate (interpreter and ``compile_py`` backend,
+  through the instrumentation hook seam) and the pyast substrate (as the
+  installed collector) share, and :class:`~repro.profiling.sampler.RunSampler`,
+  which instruments one whole run in ``stride``. Exact collection is the
+  gate at stride 1, where the gate is the counter set itself.
+* :mod:`repro.profiling.reconstruct` — the error-bar math and the
+  confidence record of a counter set of sampled counts (``None`` for
+  exact data).
 * :mod:`repro.profiling.confidence` — the per-dataset
   :class:`~repro.profiling.confidence.DatasetConfidence` record (sample
   count, scaling factor, normal-approximation error bar) carried through
@@ -27,27 +30,16 @@ from repro.profiling.confidence import (
 )
 from repro.profiling.reconstruct import (
     confidence_for_counts,
-    reconstruct_counts,
     relative_error_bar,
 )
-from repro.profiling.sampler import (
-    MonitoringSampler,
-    RunSampler,
-    SamplingCollector,
-    monitoring_available,
-    sampling_collector,
-)
+from repro.profiling.sampler import RunSampler, SamplingCollector
 
 __all__ = [
     "DEFAULT_ERROR_BAR_THRESHOLD",
     "DatasetConfidence",
-    "MonitoringSampler",
     "RunSampler",
     "SamplingCollector",
     "confidence_for_counts",
     "merge_confidences",
-    "monitoring_available",
-    "reconstruct_counts",
     "relative_error_bar",
-    "sampling_collector",
 ]

@@ -18,7 +18,9 @@ low-confidence weights through the :func:`repro.core.policy.degrade`
 choke point.
 
 By convention a data set with **no** confidence record is exact — old
-profile files and v1 wire peers therefore keep their meaning unchanged.
+profile files and untagged deltas therefore keep their meaning
+unchanged, and :func:`repro.profiling.reconstruct.confidence_for_counts`
+gives no record at scale 1.
 """
 
 from __future__ import annotations

@@ -1,20 +1,19 @@
 """Statistical reconstruction of sampled counts.
 
-Both sampling engines thin the stream of execution events: only one
-event in ``scale`` is observed. Reconstruction multiplies each observed
-count back up by ``scale``, which is unbiased — under Bernoulli(1/k)
-thinning of ``N`` true events the observed count ``n`` has expectation
-``N/k``, so ``E[k·n] = N`` (the Scheme engine's deterministic stride
-gate bumps *by* the stride for the same reason and therefore ships
-pre-reconstructed counts).
+Both sampling engines thin the stream of execution events and scale
+what they keep by the stride ``k``. The stride gate keeps one residue per
+point, so a point executed ``N`` times reads ``k·floor(N/k)``: a multiple
+of the stride, never above ``N`` and less than ``k`` below it, exact
+when ``k`` divides ``N``. Run subsetting keeps one run in ``k`` and
+multiplies its counts by ``k``.
 
-The error bar is the normal approximation to the same model: with
-``n ~ Binomial(N, 1/k)`` the reconstructed estimate ``N̂ = k·n`` has
-``Var(N̂) = N·(k−1)``, giving a relative standard error of
-``sqrt((k−1)/N) ≈ sqrt((k−1)/(k·n))``. :func:`relative_error_bar`
-returns the 95% half-width (``z = 1.96``) of that interval, clamped to
-``[0, 1]`` — an empty sample is maximally uncertain, exact data
-(``k = 1``) is certain.
+The error bar treats the kept events as Bernoulli(1/k) thinning of the
+``N`` true events: the observed count ``n ~ Binomial(N, 1/k)`` makes the
+reconstructed estimate ``N̂ = k·n`` have ``Var(N̂) = N·(k−1)``, giving a
+relative standard error of ``sqrt((k−1)/N) ≈ sqrt((k−1)/(k·n))``.
+:func:`relative_error_bar` returns the 95% half-width (``z = 1.96``) of
+that interval, clamped to ``[0, 1]`` — an empty sample is maximally
+uncertain, exact data (``k = 1``) is certain.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from repro.profiling.confidence import DatasetConfidence
 __all__ = [
     "Z_95",
     "confidence_for_counts",
-    "reconstruct_counts",
     "relative_error_bar",
 ]
 
@@ -46,32 +44,20 @@ def relative_error_bar(samples: int, scale: float) -> float:
     return min(1.0, half_width)
 
 
-def reconstruct_counts(
-    observed: Mapping[str, int], scale: float
-) -> dict[str, int]:
-    """Scale raw observed sample counts back to count estimates.
-
-    Used by the pyast ``sys.monitoring`` engine, which records one bump
-    per *observed* event; the Scheme stride gate already bumps by the
-    stride, so its counts arrive reconstructed.
-    """
-    if scale < 1.0:
-        raise ValueError(f"scaling factor must be >= 1, got {scale}")
-    return {key: round(count * scale) for key, count in observed.items()}
-
-
 def confidence_for_counts(
     counters: BaseCounterSet | Mapping[str, int], scale: float
-) -> DatasetConfidence:
+) -> DatasetConfidence | None:
     """The confidence record for a counter set holding *reconstructed*
     (already scaled) counts collected at ``scale``.
 
-    The observed sampling-event count is recovered as
-    ``total / scale`` — exact for the deterministic stride gate, the
-    maximum-likelihood estimate for the monitoring engine.
+    ``None`` at scale 1: exact data carries no record, and this is the
+    one place that decides so. The observed sampling-event count is
+    recovered as ``total / scale``.
     """
     if scale < 1.0:
         raise ValueError(f"scaling factor must be >= 1, got {scale}")
+    if scale == 1.0:
+        return None
     if isinstance(counters, BaseCounterSet):
         total = counters.total()
     else:

@@ -1,44 +1,32 @@
-"""The two sampling engines.
+"""The sampling tier: one per-event stride gate, plus whole-run subsetting.
 
-**Scheme — periodic counter subsetting.** The substrate already owns an
-instrumentation seam: every hook site (interpreter ``compile()`` closure
-or compiled-artifact ``hook_table`` entry) asks
-:meth:`repro.scheme.instrument.Instrumenter.hook_for` for its bump.
-``ProfileMode.SAMPLE`` makes that bump a stride gate — one integer
-compare per execution, bumping by the stride on every ``stride``-th pass
-so counts stay unbiased — which works identically on the interpreter and
-the ``compile_py`` backend. On top of that, :class:`RunSampler` subsets
-*whole runs* of production traffic (``pgmp ship --profile-mode
-sampled``): one run in ``stride`` is instrumented and its counts scaled
-back up, the rest execute with no hooks at all, so the steady-state
-overhead is the instrumented-run cost divided by the stride plus one
-predicate per run.
+**The stride gate.** :class:`SamplingCollector` is the one per-event
+sampling engine, shared by both substrates. It wraps a counter set and
+keeps one residue cell per profile point; a point's every
+``stride``-th event lands in the wrapped set as a bump *by* the stride,
+so counts arrive already scaled. Scheme hook sites (interpreter
+``compile()`` closures and ``compile_py`` ``hook_table`` entries) take
+their bump from :meth:`SamplingCollector.incrementer` through
+:meth:`repro.scheme.instrument.Instrumenter.hook_for`, so all the sites
+of one point (a macro that copies its argument) share its cell. The
+pyast ``profile_hook`` calls :meth:`SamplingCollector.increment` on the
+installed collector. At stride 1 the constructor returns the wrapped
+counter set itself: exact collection is stride 1, and its hot path is
+the plain counter bump.
 
-**pyast — ``sys.monitoring`` (PEP 669).** On Python ≥ 3.12,
-:class:`MonitoringSampler` registers a ``CALL`` callback, immediately
-``DISABLE``-s every call site that is not the ``__pgmp_profile__`` hook
-(those sites then cost nothing until the sampler exits), and applies the
-stride gate to the hook's key argument — no collector is installed, so
-the hook itself runs its production fast path. On older interpreters
-:func:`sampling_collector` falls back to :class:`SamplingCollector`, a
-counter-set wrapper whose increment *is* the stride gate.
+**Run subsetting.** :class:`RunSampler` subsets *whole runs* of
+production traffic (``pgmp ship --profile-mode sampled``): one run in
+``stride`` is instrumented and its counts scaled back up, the rest
+execute with no hooks at all, so the steady-state overhead is the
+instrumented-run cost divided by the stride plus one predicate per run.
 """
 
 from __future__ import annotations
 
-import contextlib
-import sys
-
 from repro.core.counters import BaseCounterSet
 from repro.core.profile_point import ProfilePoint
 
-__all__ = [
-    "MonitoringSampler",
-    "RunSampler",
-    "SamplingCollector",
-    "monitoring_available",
-    "sampling_collector",
-]
+__all__ = ["RunSampler", "SamplingCollector"]
 
 
 def _validated_stride(stride: int) -> int:
@@ -90,41 +78,61 @@ class RunSampler:
 class SamplingCollector(BaseCounterSet):
     """A counter set whose increment is the per-point stride gate.
 
-    Install it like any collector (``collecting_counters`` on pyast);
-    every ``stride``-th bump of a point lands in the wrapped set
-    multiplied by the stride, the rest cost one dict update on a small
-    residue table. This is the portable pyast engine (and the reference
-    semantics the ``sys.monitoring`` engine must match).
+    Each point has one residue cell, a one-element list that every bump
+    of the point shares. A point's count in the wrapped set is therefore
+    a multiple of the stride, never above the exact count and less than
+    one stride below it. ``SamplingCollector(inner, 1)`` is ``inner``.
+
+    One gate serves one run on one thread: the cells are not locked.
     """
 
-    __slots__ = ("inner", "stride", "samples", "_residue")
+    __slots__ = ("inner", "stride", "_cells")
+
+    def __new__(cls, inner: BaseCounterSet, stride: int):
+        if _validated_stride(stride) == 1:
+            return inner
+        return super().__new__(cls)
 
     def __init__(self, inner: BaseCounterSet, stride: int) -> None:
+        if self is inner:
+            # Stride 1 over a gate handed that gate back; leave it as is.
+            return
         super().__init__(name=inner.name)
         self.inner = inner
-        self.stride = _validated_stride(stride)
-        #: Observed (pre-scaling) sampling events, for the confidence record.
-        self.samples = 0
-        self._residue: dict[ProfilePoint, int] = {}
+        self.stride = int(stride)
+        self._cells: dict[ProfilePoint, list[int]] = {}
 
     def increment(self, point: ProfilePoint, by: int = 1) -> None:
-        self.samples += by
+        cell = self._cells.get(point)
+        if cell is None:
+            cell = self._cells[point] = [0]
+        n = cell[0] + by
         stride = self.stride
-        n = self._residue.get(point, 0) + by
-        if n >= stride:
-            self.inner.increment(point, by=(n // stride) * stride)
-            n %= stride
-        self._residue[point] = n
+        if n < stride:
+            cell[0] = n
+        else:
+            cell[0] = rest = n % stride
+            self.inner.increment(point, n - rest)
 
     def incrementer(self, point: ProfilePoint):
-        def bump() -> None:
-            self.increment(point)
+        cell = self._cells.setdefault(point, [0])
+
+        # Defaults, not closure cells: a Scheme run binds one bump per
+        # hook site, and fewer objects per bump mean fewer collections.
+        def bump(_cell=cell, _stride=self.stride, _inner=self.inner, _point=point):
+            n = _cell[0] + 1
+            if n < _stride:
+                _cell[0] = n
+            else:
+                _cell[0] = 0
+                _inner.increment(_point, _stride)
 
         return bump
 
     def clear(self) -> None:
-        self._residue.clear()
-        self.samples = 0
+        # Zero the cells in place: pre-bound bumps hold them.
+        for cell in self._cells.values():
+            cell[0] = 0
         self.inner.clear()
 
     def count(self, point: ProfilePoint) -> int:
@@ -132,94 +140,3 @@ class SamplingCollector(BaseCounterSet):
 
     def snapshot(self) -> dict[ProfilePoint, int]:
         return self.inner.snapshot()
-
-
-def monitoring_available() -> bool:
-    """Whether the PEP 669 engine can run on this interpreter."""
-    return getattr(sys, "monitoring", None) is not None
-
-
-class MonitoringSampler:
-    """The ``sys.monitoring`` pyast engine (Python ≥ 3.12).
-
-    A context manager: while active, ``CALL`` events fire once per call
-    site; sites other than the profile hook are ``DISABLE``-d on first
-    sight (steady-state cost zero), hook sites run the stride gate on the
-    embedded point key and bump ``counters`` by the stride on a pass. The
-    profile hook itself sees no installed collector and takes its
-    production fast path.
-    """
-
-    def __init__(self, counters: BaseCounterSet, stride: int) -> None:
-        if not monitoring_available():
-            raise RuntimeError(
-                "sys.monitoring is unavailable on this interpreter; "
-                "use sampling_collector() for the portable engine"
-            )
-        self.counters = counters
-        self.stride = _validated_stride(stride)
-        self.samples = 0
-        self._residue: dict[str, int] = {}
-        self._tool_id: int | None = None
-
-    def _on_call(self, code, offset, callable_obj, arg0):
-        from repro.pyast.profiler import _point_for_key, profile_hook
-
-        mon = sys.monitoring
-        if callable_obj is not profile_hook:
-            return mon.DISABLE
-        if not isinstance(arg0, str):
-            return None
-        self.samples += 1
-        n = self._residue.get(arg0, 0) + 1
-        if n >= self.stride:
-            n = 0
-            self.counters.increment(_point_for_key(arg0), by=self.stride)
-        self._residue[arg0] = n
-        return None
-
-    def __enter__(self) -> "MonitoringSampler":
-        mon = sys.monitoring
-        tool_id = mon.PROFILER_ID
-        mon.use_tool_id(tool_id, "pgmp-sampler")
-        self._tool_id = tool_id
-        mon.register_callback(tool_id, mon.events.CALL, self._on_call)
-        mon.set_events(tool_id, mon.events.CALL)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        mon = sys.monitoring
-        if self._tool_id is not None:
-            mon.set_events(self._tool_id, 0)
-            mon.register_callback(self._tool_id, mon.events.CALL, None)
-            mon.free_tool_id(self._tool_id)
-            self._tool_id = None
-            # Re-arm the call sites we DISABLE-d for any other tool.
-            mon.restart_events()
-
-
-@contextlib.contextmanager
-def sampling_collector(
-    counters: BaseCounterSet, stride: int, engine: str = "auto"
-):
-    """Collect sampled pyast counts into ``counters`` at ``stride``.
-
-    Picks the PEP 669 engine when the interpreter has it (or when forced
-    with ``engine="monitoring"``), the portable gate collector otherwise.
-    Yields an object with ``samples`` (observed events) and ``stride``
-    for building the dataset's confidence record.
-    """
-    if engine not in ("auto", "monitoring", "gate"):
-        raise ValueError(f"unknown sampling engine {engine!r}")
-    use_monitoring = engine == "monitoring" or (
-        engine == "auto" and monitoring_available()
-    )
-    if use_monitoring:
-        with MonitoringSampler(counters, stride) as sampler:
-            yield sampler
-        return
-    from repro.pyast.profiler import collecting_counters
-
-    gate = SamplingCollector(counters, stride)
-    with collecting_counters(gate):
-        yield gate

@@ -20,7 +20,7 @@ from repro.obs.metrics import get_global_metrics
 from repro.obs.tracer import maybe_span
 from repro.profiling.confidence import annotate_profile_load_span
 from repro.profiling.reconstruct import confidence_for_counts
-from repro.profiling.sampler import sampling_collector
+from repro.profiling.sampler import SamplingCollector
 from repro.pyast.macros import MacroRegistry, expand_function
 from repro.pyast.profiler import collecting_counters
 
@@ -102,15 +102,9 @@ class PyAstSystem:
         and ``fingerprints`` (filename → :func:`source_fingerprint` digest)
         to make the data set staleness-checkable on later loads.
         """
-        if counters is None:
-            counters = CounterSet(name=getattr(expanded_fn, "__name__", "pyast-run"))
-        with maybe_span(
-            "instrument", getattr(expanded_fn, "__name__", "pyast-run")
-        ), collecting_counters(counters):
-            for args in inputs:
-                expanded_fn(*args)
-        self.profile_db.record_counters(counters, importance, fingerprints)
-        return counters
+        return self._collect(
+            expanded_fn, inputs, 1, importance, counters, fingerprints
+        )
 
     def profile_sampled(
         self,
@@ -120,31 +114,50 @@ class PyAstSystem:
         importance: float = 1.0,
         counters: BaseCounterSet | None = None,
         fingerprints: Mapping[str, str] | None = None,
-        engine: str = "auto",
+        engine: str = "gate",
     ) -> BaseCounterSet:
-        """Like :meth:`profile`, but through the sampling profiler.
+        """Like :meth:`profile`, but through the per-point stride gate.
 
-        Only every ``sample_stride``-th hook event is recorded (scaled
-        back up so counts stay unbiased); the recorded data set carries a
-        :class:`~repro.profiling.confidence.DatasetConfidence` record. On
-        Python ≥ 3.12 the ``sys.monitoring`` engine observes the hook's
-        call sites directly (no collector installed, so the hook runs its
-        production fast path); older interpreters fall back to the
-        portable gate collector. ``engine`` forces ``"monitoring"`` or
-        ``"gate"`` explicitly.
+        A point's every ``sample_stride``-th hook event is recorded, as a
+        bump by the stride; the recorded data set carries a
+        :class:`~repro.profiling.confidence.DatasetConfidence` record. At
+        stride 1 this is :meth:`profile`. ``engine`` names the sampling
+        engine; ``"gate"`` is the only one.
         """
-        if counters is None:
-            counters = CounterSet(name=getattr(expanded_fn, "__name__", "pyast-run"))
+        if engine != "gate":
+            raise ValueError(f"unknown sampling engine {engine!r}")
+        return self._collect(
+            expanded_fn, inputs, sample_stride, importance, counters, fingerprints
+        )
+
+    def _collect(
+        self,
+        expanded_fn: Callable,
+        inputs: Iterable[tuple],
+        stride: int,
+        importance: float,
+        counters: BaseCounterSet | None,
+        fingerprints: Mapping[str, str] | None,
+    ) -> BaseCounterSet:
+        """The one body of :meth:`profile` (stride 1) and
+        :meth:`profile_sampled`; neither calls the other, so a timing span
+        around one never contains the other."""
         name = getattr(expanded_fn, "__name__", "pyast-run")
-        with maybe_span(
-            "sample", name, stride=sample_stride, engine=engine
-        ), sampling_collector(counters, sample_stride, engine=engine) as sampler:
+        if counters is None:
+            counters = CounterSet(name=name)
+        gate = SamplingCollector(counters, stride)
+        if gate is counters:
+            span = maybe_span("instrument", name)
+        else:
+            span = maybe_span("sample", name, stride=stride, engine="gate")
+        with span, collecting_counters(gate):
             for args in inputs:
                 expanded_fn(*args)
-        confidence = confidence_for_counts(counters, sample_stride)
-        metrics = get_global_metrics()
-        metrics.inc("samples_total", sampler.samples)
-        metrics.inc("sampled_datasets_total")
+        confidence = confidence_for_counts(counters, stride)
+        if confidence is not None:
+            metrics = get_global_metrics()
+            metrics.inc("samples_total", confidence.samples)
+            metrics.inc("sampled_datasets_total")
         self.profile_db.record_counters(
             counters, importance, fingerprints, confidence
         )

@@ -165,8 +165,9 @@ def hook_table(instrumenter, sites) -> list:
     """One bump per recorded site, in emission order.
 
     ``sites`` is the codegen's ordered ``(profile point, is_app)`` list;
-    each entry gets its own bump exactly as each interpreter compile()
-    call would — crucially giving SAMPLE mode fresh per-site stride state.
+    each entry gets its bump exactly as each interpreter compile() call
+    would, so under SAMPLE mode the sites of one point share its stride
+    gate residue on both backends.
     """
     if instrumenter is None:
         return []

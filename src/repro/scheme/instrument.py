@@ -24,9 +24,9 @@ overhead".
 from __future__ import annotations
 
 import enum
-import threading
 
 from repro.core.counters import BaseCounterSet
+from repro.profiling.sampler import SamplingCollector, _validated_stride
 from repro.scheme.core_forms import App, CoreExpr
 
 __all__ = ["ProfileMode", "Instrumenter"]
@@ -40,9 +40,10 @@ class ProfileMode(enum.Enum):
     #: errortrace-style: only procedure applications.
     CALL = "call"
     #: Sampling: every expression, but only every ``sample_stride``-th
-    #: execution bumps (by the stride, keeping counts unbiased). The design
-    #: claims to work for any *point* profiling system — this is a third,
-    #: cheaper one, and all the meta-programs run unchanged over it.
+    #: execution of a point bumps (by the stride, so counts stay within
+    #: one stride of exact). The design claims to work for any *point*
+    #: profiling system — this is a third, cheaper one, and all the
+    #: meta-programs run unchanged over it.
     SAMPLE = "sample"
 
 
@@ -57,9 +58,14 @@ class Instrumenter:
     ) -> None:
         self.counters = counters
         self.mode = mode
-        if sample_stride < 1:
-            raise ValueError("sample_stride must be >= 1")
-        self.sample_stride = sample_stride
+        self.sample_stride = _validated_stride(sample_stride)
+        #: where bumps land: under SAMPLE the stride gate, which is the
+        #: counter set itself at stride 1
+        self._sink = (
+            SamplingCollector(counters, self.sample_stride)
+            if mode is ProfileMode.SAMPLE
+            else counters
+        )
 
     def hook(self, expr: CoreExpr):
         """A pre-bound counter bump for ``expr``, or None when not profiled."""
@@ -71,34 +77,11 @@ class Instrumenter:
         The seam the compiled backend shares with the interpreter: both
         describe a site as ``(point, is-it-an-application)`` and get back
         the identical bump (or ``None``), so per-mode filtering and the
-        per-site sampling state behave the same under either backend.
+        per-point sampling state behave the same under either backend.
+        Every site of one point shares that point's residue in the gate.
         """
         if point is None:
             return None
         if self.mode is ProfileMode.CALL and not is_app:
             return None
-        if self.mode is ProfileMode.SAMPLE:
-            return self._sampling_bump(point)
-        return self.counters.incrementer(point)
-
-    def _sampling_bump(self, point):
-        """Deterministic 1-in-stride sampling, scaled to stay unbiased.
-
-        Deterministic (a per-point modular counter, not randomness) so
-        profiles — and therefore meta-program decisions — are reproducible
-        run to run, the same property make-profile-point demands. The
-        modular counter is per-thread so concurrent interpreters sample
-        deterministically without racing on shared closure state.
-        """
-        stride = self.sample_stride
-        counters = self.counters
-        state = threading.local()
-
-        def bump() -> None:
-            n = getattr(state, "n", 0) + 1
-            if n >= stride:
-                n = 0
-                counters.increment(point, by=stride)
-            state.n = n
-
-        return bump
+        return self._sink.incrementer(point)

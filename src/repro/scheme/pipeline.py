@@ -255,6 +255,7 @@ class SchemeSystem:
         ``sample_stride`` sets the per-point sampling gate's stride for
         ``ProfileMode.SAMPLE`` runs (ignored under other modes); sampled
         runs are traced with ``sample`` spans instead of ``instrument``.
+        At stride 1 the gate is the counter set and the run is exact.
         """
         instrumenter: Instrumenter | None = None
         if instrument is not None:
@@ -272,7 +273,7 @@ class SchemeSystem:
         previous = set_current_output(port)
         if instrument is None:
             span = contextlib.nullcontext()
-        elif instrument is ProfileMode.SAMPLE:
+        elif instrument is ProfileMode.SAMPLE and sample_stride != 1:
             span = maybe_span(
                 "sample",
                 "sampled-run",
@@ -472,10 +473,10 @@ class SchemeSystem:
         The data set is fingerprinted against ``source``, so a later
         ``load_profile(..., sources=...)`` can tell when the profile was
         collected against code that has since changed. Under
-        ``ProfileMode.SAMPLE`` the recorded data set carries a
-        :class:`~repro.profiling.confidence.DatasetConfidence` record
-        (the counts are already stride-scaled, hence unbiased), and the
-        run is counted in ``samples_total``/``sampled_datasets_total``.
+        ``ProfileMode.SAMPLE`` above stride 1 the recorded data set
+        carries a :class:`~repro.profiling.confidence.DatasetConfidence`
+        record (the counts are already stride-scaled), and the run is
+        counted in ``samples_total``/``sampled_datasets_total``.
         """
         effective_mode = mode or self.mode
         result = self.run_source(
@@ -490,6 +491,7 @@ class SchemeSystem:
         if effective_mode is ProfileMode.SAMPLE:
             stride = sample_stride if sample_stride is not None else 10
             confidence = confidence_for_counts(result.counters, stride)
+        if confidence is not None:
             metrics = get_global_metrics()
             metrics.inc("samples_total", confidence.samples)
             metrics.inc("sampled_datasets_total")

@@ -43,12 +43,11 @@ from repro.core.database import (
     atomic_write_text,
     source_fingerprint,
 )
-from repro.core.errors import DeltaFormatError, ServiceError
+from repro.core.errors import DeltaFormatError
 from repro.core.policy import DegradationLog, ProfilePolicy, degrade
 from repro.core.profile_point import ProfilePoint
 from repro.obs.logs import get_logger
 from repro.profiling.confidence import DatasetConfidence, merge_confidences
-from repro.profiling.reconstruct import confidence_for_counts
 from repro.service.controller import RecompilationDecision, RecompileController
 from repro.obs.metrics import ServiceMetrics
 from repro.service.delta import DeltaBatch, DeltaLedger, ProfileDelta
@@ -140,7 +139,6 @@ class ProfileAggregator:
         metrics_port: int | None = None,
         read_timeout: float | None = 30.0,
         name: str = "profile-information",
-        assume_sample_scale: float | None = None,
     ) -> None:
         self.listen = parse_address(listen)
         self.checkpoint_path = checkpoint_path
@@ -156,18 +154,6 @@ class ProfileAggregator:
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.metrics_port = metrics_port
         self.name = name
-        #: treat confidence-less deltas as sampled at this scaling factor
-        #: (``pgmp serve --profile-mode sampled``): v1 shippers in a
-        #: sampled fleet cannot tag their deltas, so the operator declares
-        #: the fleet-wide scale here. ``None`` keeps them exact.
-        self.assume_sample_scale = (
-            None if assume_sample_scale is None else float(assume_sample_scale)
-        )
-        if self.assume_sample_scale is not None and self.assume_sample_scale < 1.0:
-            raise ServiceError(
-                f"assume_sample_scale must be >= 1, "
-                f"got {self.assume_sample_scale}"
-            )
         #: current source fingerprints deltas are checked against; a delta
         #: fingerprinting one of these files differently is quarantined.
         self.expected_fingerprints: dict[str, str] = dict(
@@ -564,16 +550,10 @@ class ProfileAggregator:
         return response
 
     def _delta_confidence(self, delta: ProfileDelta) -> DatasetConfidence | None:
-        """The confidence an applied delta contributes to its slot.
-
-        A tagged delta speaks for itself; an untagged one is exact unless
-        the operator declared a fleet-wide :attr:`assume_sample_scale`.
-        """
-        if delta.confidence is not None:
-            return delta.confidence if delta.confidence.is_sampled else None
-        if self.assume_sample_scale is not None and self.assume_sample_scale > 1.0:
-            return confidence_for_counts(delta.counts, self.assume_sample_scale)
-        return None
+        """The confidence an applied delta contributes to its slot: its
+        own record when sampled; an untagged delta is exact."""
+        confidence = delta.confidence
+        return confidence if confidence is not None and confidence.is_sampled else None
 
     def _stale_files(self, fingerprints: Mapping[str, str]) -> list[str]:
         return sorted(

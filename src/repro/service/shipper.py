@@ -215,7 +215,7 @@ class ProfileShipper:
             if increments:
                 self._seq += 1
                 confidence = None
-                if self.sample_scale is not None and self.sample_scale > 1.0:
+                if self.sample_scale is not None:
                     confidence = confidence_for_counts(
                         increments, self.sample_scale
                     )

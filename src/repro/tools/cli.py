@@ -32,6 +32,7 @@ import sys
 from repro.core.database import ProfileDatabase
 from repro.core.errors import PgmpError, ProfileFormatError
 from repro.core.policy import DegradationLog, ProfilePolicy, degrade
+from repro.profiling.sampler import _validated_stride
 from repro.scheme.core_forms import unparse_string
 from repro.scheme.datum import write_datum
 from repro.scheme.instrument import ProfileMode
@@ -153,6 +154,14 @@ def _mode(name: str) -> ProfileMode:
     return ProfileMode.CALL if name == "call" else ProfileMode.EXPR
 
 
+def _sample_rate(text: str) -> int:
+    """``--sample-rate N``: a stride of at least 1, else a usage error."""
+    try:
+        return _validated_stride(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro.obs.logs import LOG_LEVELS
 
@@ -217,12 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--sample-rate",
-            type=int,
+            type=_sample_rate,
             default=10,
             metavar="N",
             help="sampling stride for --profile-mode sampled: one event in "
-            "N is observed (one *run* in N, for ship); counts are scaled "
-            "back up so totals stay unbiased (default: 10)",
+            "N is observed (one *run* in N, for ship) and counts are scaled "
+            "back up; N >= 1, and 1 collects exactly (default: 10)",
         )
 
     p_run = sub.add_parser("run", help="compile and run a program")
@@ -334,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser(
         "serve", help="run the continuous-profiling aggregation service"
     )
-    sampling(p_serve)
     p_serve.add_argument(
         "--listen",
         default="127.0.0.1:0",
@@ -989,13 +997,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         metrics=metrics,
         metrics_port=args.metrics_port,
         read_timeout=args.read_timeout,
-        assume_sample_scale=(
-            # Untagged (v1) deltas in a sampled fleet: the operator
-            # declares the fleet-wide stride; tagged deltas always win.
-            float(max(1, args.sample_rate))
-            if args.profile_mode == "sampled"
-            else None
-        ),
     )
     aggregator.start()
     try:
@@ -1185,15 +1186,14 @@ def _run_ship(args: argparse.Namespace) -> int:
     dataset = args.dataset if args.dataset else args.file
     counters = ShardedCounterSet(name=dataset)
     fingerprints = {args.file: source_fingerprint(source)}
-    sampled = args.profile_mode == "sampled"
-    stride = max(1, args.sample_rate) if sampled else 1
+    stride = args.sample_rate if args.profile_mode == "sampled" else 1
     # Production-traffic sampling subsets whole runs: one run in `stride`
     # executes instrumented (and its counts are folded in scaled by the
     # stride), the rest run with no hooks at all — steady-state overhead
     # is the instrumented-run cost divided by the stride plus one
-    # predicate per run.
-    run_sampler = RunSampler(stride) if sampled else None
-    sample_scale = float(stride) if sampled and stride > 1 else None
+    # predicate per run. Stride 1 is exact collection.
+    run_sampler = RunSampler(stride) if stride > 1 else None
+    sample_scale = float(stride) if run_sampler is not None else None
     if args.fleet:
         # --connect names the fleet *root*; shard addresses come from
         # its ring frame and the deltas go straight to the shards.
@@ -1298,7 +1298,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             # Sampled collection implies instrumentation: the stride gate
             # IS the (cheap) instrumentation.
             mode = ProfileMode.SAMPLE
-            sample_stride = max(1, args.sample_rate)
+            sample_stride = args.sample_rate
         program = _maybe_simplify(args, system.compile(source, args.file))
         result = system.run(
             program,
@@ -1329,7 +1329,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         sample_stride = None
         if args.profile_mode == "sampled":
             mode = ProfileMode.SAMPLE
-            sample_stride = max(1, args.sample_rate)
+            sample_stride = args.sample_rate
         system.profile_run(
             source, args.file, mode=mode, sample_stride=sample_stride
         )

@@ -202,3 +202,34 @@ def test_workflow_budget_fails_under_strict(program_file, capsys):
     assert main(["workflow", program_file, "--library", "case",
                  "--pass-budget", "5"]) == 1
     assert "StepBudgetExceeded" in capsys.readouterr().err
+
+
+def test_sample_rate_one_collects_exactly(program_file, tmp_path, capsys):
+    exact_path = tmp_path / "exact.profile"
+    sampled_path = tmp_path / "stride1.profile"
+    assert main(["profile", program_file, "--library", "case", "--out", str(exact_path)]) == 0
+    assert main([
+        "profile", program_file, "--library", "case", "--profile-mode", "sampled",
+        "--sample-rate", "1", "--out", str(sampled_path),
+    ]) == 0
+    # Stride 1 is exact collection: no confidence record anywhere.
+    assert '"confidence"' not in sampled_path.read_text()
+    assert json.loads(sampled_path.read_text()) == json.loads(exact_path.read_text())
+    capsys.readouterr()
+    assert main([
+        "report", program_file, "--library", "case", "--profile-file", str(sampled_path),
+    ]) == 0
+    assert "collection:" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("rate", ["0", "-3"])
+def test_sample_rate_below_one_is_a_usage_error(program_file, tmp_path, capsys, rate):
+    out = tmp_path / "p.profile"
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "profile", program_file, "--profile-mode", "sampled",
+            "--sample-rate", rate, "--out", str(out),
+        ])
+    assert exc.value.code == 2
+    assert "sample stride must be >= 1" in capsys.readouterr().err
+    assert not out.exists()

@@ -3,10 +3,13 @@
 Generates small random Scheme programs and checks:
 
 1. the tree-walking interpreter and the block VM compute the same value;
-2. instrumentation (either mode) never changes a program's value;
+2. instrumentation (any mode) never changes a program's value;
 3. block-layout optimization never changes a program's value;
 4. the profile→recompile cycle with the §6.1 case library is semantics-
-   preserving for arbitrary generated `case` tables and key streams.
+   preserving for arbitrary generated `case` tables and key streams;
+5. sampled counters are identical on the interpreter and ``compile_py``,
+   and each point reads a multiple of the stride less than one stride
+   below its exact count.
 """
 
 import pytest
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 from repro.blocks.compiler import compile_program
 from repro.blocks.pgo import optimize_layout
 from repro.blocks.vm import VM
+from repro.core.counters import CounterSet
 from repro.core.errors import EvalError, SchemeError, VMError
 from repro.scheme.datum import write_datum
 from repro.scheme.instrument import ProfileMode
@@ -90,11 +94,52 @@ def test_interpreter_vm_agree(expr):
     assert interp(source) == vm(source)
 
 
-@given(_exprs(3), st.sampled_from([ProfileMode.EXPR, ProfileMode.CALL]))
+@given(_exprs(3), st.sampled_from(list(ProfileMode)))
 @settings(max_examples=40, deadline=None)
 def test_instrumentation_is_transparent(expr, mode):
     source = _program(expr)
     assert interp(source) == instrumented(source, mode)
+
+
+def _counts(system, program, mode, backend, stride):
+    counters = CounterSet()
+    try:
+        system.run(
+            program,
+            instrument=mode,
+            counters=counters,
+            backend=backend,
+            sample_stride=stride,
+        )
+    except (EvalError, SchemeError):
+        pass  # counts up to the error must still agree
+    return counters.snapshot()
+
+
+@given(
+    _exprs(3),
+    st.booleans(),
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=1, max_value=12),
+)
+@settings(max_examples=40, deadline=None)
+def test_sampled_counters_agree_and_stay_within_one_stride(expr, twice, runs, stride):
+    body = f"(twice {expr})" if twice else expr
+    source = _program(
+        "(define-syntax twice (syntax-rules () [(_ e) (begin e e)]))\n"
+        f"(define (body) {body})\n"
+        "(define (repeat n) (if (= n 0) 'done (begin (body) (repeat (- n 1)))))\n"
+        f"(repeat {runs})"
+    )
+    system = SchemeSystem()
+    program = system.compile(source, "gen.ss")
+    exact = _counts(system, program, ProfileMode.EXPR, "interp", None)
+    sampled = _counts(system, program, ProfileMode.SAMPLE, "interp", stride)
+    assert _counts(system, program, ProfileMode.SAMPLE, "compile", stride) == sampled
+    assert set(sampled) <= set(exact)
+    for point, count in exact.items():
+        assert 0 <= count - sampled.get(point, 0) < stride
+        assert sampled.get(point, 0) % stride == 0
 
 
 @given(_exprs(3))

@@ -13,7 +13,6 @@ from repro.profiling import (
     DatasetConfidence,
     confidence_for_counts,
     merge_confidences,
-    reconstruct_counts,
     relative_error_bar,
 )
 from repro.profiling.confidence import annotate_profile_load_span
@@ -60,15 +59,6 @@ def test_default_threshold_cleared_by_realistic_datasets():
 # -- reconstruction -----------------------------------------------------------
 
 
-def test_reconstruct_counts_scales_observations():
-    assert reconstruct_counts({"a": 3, "b": 0}, 10.0) == {"a": 30, "b": 0}
-
-
-def test_reconstruct_counts_rejects_bad_scale():
-    with pytest.raises(ValueError):
-        reconstruct_counts({"a": 1}, 0.5)
-
-
 def test_confidence_for_counts_recovers_observed_events():
     counters = CounterSet(name="ds")
     counters.increment(POINT, by=500)  # already stride-scaled counts
@@ -82,6 +72,14 @@ def test_confidence_for_counts_recovers_observed_events():
 def test_confidence_for_counts_accepts_plain_mapping():
     conf = confidence_for_counts({"a": 40, "b": 20}, 4.0)
     assert conf.samples == 15
+
+
+def test_confidence_for_counts_is_none_for_exact_data():
+    # Scale 1 is exact collection: no record, whatever the counts.
+    counters = CounterSet(name="ds")
+    counters.increment(POINT, by=500)
+    assert confidence_for_counts(counters, 1) is None
+    assert confidence_for_counts({"a": 7}, 1.0) is None
 
 
 def test_confidence_for_counts_rejects_bad_scale():

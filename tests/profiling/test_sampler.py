@@ -1,18 +1,16 @@
-"""The sampling engines: run subsetting, the portable gate collector, and
-the ``sys.monitoring`` sampler (skipped where PEP 669 is unavailable)."""
+"""The sampling engines: run subsetting and the per-point stride gate
+that the Scheme and pyast substrates share."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.counters import CounterSet
 from repro.core.profile_point import ProfilePoint
 from repro.core.srcloc import SourceLocation
-from repro.profiling import (
-    MonitoringSampler,
-    RunSampler,
-    SamplingCollector,
-    monitoring_available,
-    sampling_collector,
-)
+from repro.profiling import RunSampler, SamplingCollector
+from repro.pyast.profiler import collecting_counters
+from repro.pyast.system import PyAstSystem
 
 POINTS = [
     ProfilePoint.for_location(SourceLocation("s.ss", n, n + 1)) for n in range(3)
@@ -64,7 +62,7 @@ def test_fold_of_empty_run_is_a_noop():
     assert shipping.total() == 0
 
 
-# -- SamplingCollector: the portable per-point stride gate --------------------
+# -- SamplingCollector: the per-point stride gate -----------------------------
 
 
 def test_gate_collector_reconstruction_is_unbiased_on_multiples():
@@ -74,7 +72,6 @@ def test_gate_collector_reconstruction_is_unbiased_on_multiples():
         gate.increment(POINTS[0])
     # 100 events at stride 5: 20 passes, each bumping by 5.
     assert inner.count(POINTS[0]) == 100
-    assert gate.samples == 100
 
 
 def test_gate_collector_residue_bounds_the_error():
@@ -84,7 +81,6 @@ def test_gate_collector_residue_bounds_the_error():
         gate.increment(POINTS[0])
     # Only whole strides land; at most stride-1 events sit in the residue.
     assert inner.count(POINTS[0]) == 30
-    assert gate.samples == 37
 
 
 def test_gate_collector_handles_bulk_increments():
@@ -94,7 +90,6 @@ def test_gate_collector_handles_bulk_increments():
     assert inner.count(POINTS[0]) == 20
     gate.increment(POINTS[0], by=5)
     assert inner.count(POINTS[0]) == 30
-    assert gate.samples == 30
 
 
 def test_gate_collector_tracks_points_independently():
@@ -106,7 +101,6 @@ def test_gate_collector_tracks_points_independently():
         gate.increment(POINTS[1])
     assert inner.count(POINTS[0]) == 8
     assert inner.count(POINTS[1]) == 0  # still in the residue table
-    assert gate.samples == 11
 
 
 def test_gate_collector_clear_resets_everything():
@@ -115,9 +109,8 @@ def test_gate_collector_clear_resets_everything():
     for _ in range(7):
         gate.increment(POINTS[0])
     gate.clear()
-    assert gate.samples == 0
     assert inner.total() == 0
-    # The residue table was dropped too: a fresh stride starts over.
+    # The residues were zeroed too: a fresh stride starts over.
     gate.increment(POINTS[0])
     assert inner.count(POINTS[0]) == 0
 
@@ -127,7 +120,59 @@ def test_gate_collector_rejects_bad_stride():
         SamplingCollector(CounterSet(name="ds"), 0)
 
 
-# -- the pyast engines through the public entry point -------------------------
+def test_gate_at_stride_one_is_the_counter_set_itself():
+    inner = CounterSet(name="ds")
+    assert SamplingCollector(inner, 1) is inner
+    gate = SamplingCollector(inner, 4)
+    assert SamplingCollector(gate, 1) is gate
+    assert gate.inner is inner and gate.stride == 4
+
+
+#: (point index, site index, by) events; each point has two hook sites.
+STREAMS = st.lists(
+    st.tuples(
+        st.integers(0, len(POINTS) - 1), st.integers(0, 1), st.integers(1, 6)
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stream=STREAMS, stride=st.integers(1, 12))
+def test_gate_stays_within_one_stride_of_exact(stream, stride):
+    exact = CounterSet(name="ds")
+    by_increment = CounterSet(name="ds")
+    by_bumps = CounterSet(name="ds")
+    gate = SamplingCollector(by_increment, stride)
+    bumping = SamplingCollector(by_bumps, stride)
+    assert (gate is by_increment) == (stride == 1)
+    sites = [[bumping.incrementer(point) for _ in range(2)] for point in POINTS]
+
+    def replay():
+        for index, site, by in stream:
+            gate.increment(POINTS[index], by)
+            for _ in range(by):
+                sites[index][site]()
+
+    for index, _, by in stream:
+        exact.increment(POINTS[index], by)
+    replay()
+    first = by_increment.snapshot()
+    assert by_bumps.snapshot() == first
+    for point in POINTS:
+        sampled = by_increment.count(point)
+        assert 0 <= exact.count(point) - sampled < stride
+        assert sampled % stride == 0
+
+    gate.clear()
+    bumping.clear()
+    assert by_increment.total() == 0 and by_bumps.total() == 0
+    replay()
+    assert by_increment.snapshot() == first
+    assert by_bumps.snapshot() == first
+
+
+# -- the pyast hook through the gate -----------------------------------------
 
 
 def _hook_loop(times: int, key: str) -> None:
@@ -139,67 +184,25 @@ def _hook_loop(times: int, key: str) -> None:
 
 def test_sampling_collector_gate_engine_collects_scaled_counts():
     counters = CounterSet(name="ds")
-    with sampling_collector(counters, 5, engine="gate") as sampler:
+    with collecting_counters(SamplingCollector(counters, 5)):
         _hook_loop(100, POINTS[0].key())
-    assert sampler.stride == 5
-    assert sampler.samples == 100
+        _hook_loop(13, POINTS[1].key())
     assert counters.count(POINTS[0]) == 100
+    assert counters.count(POINTS[1]) == 10
 
 
 def test_sampling_collector_stops_collecting_on_exit():
     counters = CounterSet(name="ds")
-    with sampling_collector(counters, 5, engine="gate"):
+    with collecting_counters(SamplingCollector(counters, 5)):
         _hook_loop(10, POINTS[0].key())
     _hook_loop(50, POINTS[0].key())
     assert counters.count(POINTS[0]) == 10
 
 
 def test_sampling_collector_rejects_unknown_engine():
-    with pytest.raises(ValueError):
-        with sampling_collector(CounterSet(name="ds"), 5, engine="psychic"):
-            pass  # pragma: no cover
-
-
-def test_sampling_collector_auto_selects_an_engine():
-    counters = CounterSet(name="ds")
-    with sampling_collector(counters, 2, engine="auto") as sampler:
-        _hook_loop(10, POINTS[0].key())
-    assert sampler.samples == 10
-    assert counters.count(POINTS[0]) == 10
-
-
-@pytest.mark.skipif(
-    not monitoring_available(), reason="sys.monitoring needs Python >= 3.12"
-)
-class TestMonitoringEngine:
-    def test_collects_scaled_counts(self):
-        counters = CounterSet(name="ds")
-        with sampling_collector(counters, 5, engine="monitoring") as sampler:
-            _hook_loop(100, POINTS[0].key())
-        assert isinstance(sampler, MonitoringSampler)
-        assert sampler.samples == 100
-        assert counters.count(POINTS[0]) == 100
-
-    def test_stops_collecting_on_exit(self):
-        counters = CounterSet(name="ds")
-        with sampling_collector(counters, 5, engine="monitoring"):
-            _hook_loop(10, POINTS[0].key())
-        _hook_loop(50, POINTS[0].key())
-        assert counters.count(POINTS[0]) == 10
-
-    def test_matches_gate_engine_semantics(self):
-        """The PEP 669 engine must reconstruct exactly like the reference
-        gate collector for a deterministic event stream."""
-        via_monitoring = CounterSet(name="ds")
-        with sampling_collector(via_monitoring, 7, engine="monitoring"):
-            _hook_loop(100, POINTS[0].key())
-            _hook_loop(13, POINTS[1].key())
-        via_gate = CounterSet(name="ds")
-        with sampling_collector(via_gate, 7, engine="gate"):
-            _hook_loop(100, POINTS[0].key())
-            _hook_loop(13, POINTS[1].key())
-        assert via_monitoring.snapshot() == via_gate.snapshot()
-
-    def test_rejects_bad_stride(self):
-        with pytest.raises(ValueError):
-            MonitoringSampler(CounterSet(name="ds"), 0)
+    # The stride gate is the one engine; "auto" and "monitoring" are gone.
+    system = PyAstSystem()
+    for engine in ("psychic", "auto", "monitoring"):
+        with pytest.raises(ValueError, match="engine"):
+            system.profile_sampled(lambda: None, [()], engine=engine)
+    assert system.profile_db.point_count() == 0

@@ -125,34 +125,6 @@ def test_untagged_deltas_stay_exact_by_default():
     assert agg.metrics.counter("sampled_deltas_total") == 0
 
 
-def test_assume_sample_scale_tags_untagged_v1_deltas():
-    agg = ProfileAggregator("127.0.0.1:0", assume_sample_scale=10.0)
-    frame = _delta(counts={POINTS[0].key(): 500}).to_json_object()
-    assert "confidence" not in frame  # a v1 shipper's frame
-    assert agg.handle_frame(frame)["status"] == "applied"
-    summary = agg.merged_database().confidence_summary()
-    assert summary is not None
-    assert summary.samples == 50
-    assert summary.scale == 10.0
-
-
-def test_tagged_delta_wins_over_assume_sample_scale():
-    agg = ProfileAggregator("127.0.0.1:0", assume_sample_scale=100.0)
-    frame = _delta(
-        confidence=DatasetConfidence.sampled(40, 10),
-        counts={POINTS[0].key(): 400},
-    ).to_json_object()
-    assert agg.handle_frame(frame)["status"] == "applied"
-    summary = agg.merged_database().confidence_summary()
-    assert summary.samples == 40
-    assert summary.scale == 10.0
-
-
-def test_aggregator_rejects_bad_assume_sample_scale():
-    with pytest.raises(ServiceError):
-        ProfileAggregator("127.0.0.1:0", assume_sample_scale=0.1)
-
-
 def test_stats_frame_surfaces_dataset_confidence():
     agg = ProfileAggregator("127.0.0.1:0")
     agg.handle_frame(

@@ -253,3 +253,52 @@ class TestPersistence:
         fresh.load_profile(path)
         optimized = fresh.expand(S.decide)
         assert "not n < 3" in optimized.__pgmp_source__
+
+
+class TestProfileSampled:
+    INPUTS = [(i % 10,) for i in range(1000)]  # 300 "small", 700 "big"
+
+    def _exact_counts(self):
+        system = PyAstSystem()
+        return system.profile(system.expand(S.decide), self.INPUTS).snapshot()
+
+    def test_counts_confidence_and_samples_total(self):
+        from repro.obs.metrics import get_global_metrics
+
+        metrics = get_global_metrics()
+        before = metrics.counter("samples_total")
+        datasets_before = metrics.counter("sampled_datasets_total")
+        system = PyAstSystem()
+        counters = system.profile_sampled(
+            system.expand(S.decide), self.INPUTS, sample_stride=10
+        )
+        # 300 and 700 are multiples of the stride, so the gate is exact.
+        assert counters.snapshot() == self._exact_counts()
+        (confidence,) = system.profile_db.dataset_confidences()
+        assert confidence.is_sampled
+        assert confidence.samples == 100  # the events that passed the gate
+        assert confidence.scale == 10.0
+        assert metrics.counter("samples_total") == before + 100
+        assert metrics.counter("sampled_datasets_total") == datasets_before + 1
+
+    def test_stride_one_is_exact_collection(self):
+        from repro.obs.metrics import get_global_metrics
+
+        metrics = get_global_metrics()
+        before = metrics.counter("samples_total")
+        datasets_before = metrics.counter("sampled_datasets_total")
+        system = PyAstSystem()
+        counters = system.profile_sampled(
+            system.expand(S.decide), self.INPUTS, sample_stride=1
+        )
+        assert counters.snapshot() == self._exact_counts()
+        assert system.profile_db.dataset_confidences() == [None]
+        assert system.profile_db.confidence_summary() is None
+        assert metrics.counter("samples_total") == before
+        assert metrics.counter("sampled_datasets_total") == datasets_before
+
+    def test_rejects_a_stride_below_one(self):
+        system = PyAstSystem()
+        with pytest.raises(ValueError, match="stride"):
+            system.profile_sampled(system.expand(S.decide), self.INPUTS, sample_stride=0)
+        assert system.profile_db.dataset_confidences() == []

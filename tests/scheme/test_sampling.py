@@ -54,6 +54,31 @@ class TestSamplingCounters:
         with pytest.raises(ValueError):
             Instrumenter(CounterSet(), ProfileMode.SAMPLE, sample_stride=0)
 
+    @pytest.mark.parametrize("backend", ["interp", "compile"])
+    def test_sites_of_one_point_share_its_stride(self, backend):
+        """Regression: ``twice`` copies ``(g x)``, so its one point has two
+        hook sites. A residue per site read 20 of 30 executions at stride
+        10; the residue per point reads all 30."""
+        source = (
+            "(define-syntax twice (syntax-rules () [(_ e) (begin e e)]))\n"
+            "(define (g x) x)\n"
+            "(define (f x) (twice (g x)))\n"
+            "(define (loop n) (if (= n 0) 'done (begin (f n) (loop (- n 1)))))\n"
+            "(loop 15)"
+        )
+        system = SchemeSystem()
+        program = system.compile(source, "s.ss")
+        start = source.index("(g x)))")
+        counts = {}
+        for mode in (ProfileMode.EXPR, ProfileMode.SAMPLE):
+            result = system.run(program, instrument=mode, backend=backend)
+            (counts[mode],) = [
+                count
+                for point, count in result.counters.snapshot().items()
+                if point.location.start == start
+            ]
+        assert counts == {ProfileMode.EXPR: 30, ProfileMode.SAMPLE: 30}
+
     def test_deterministic_across_runs(self):
         source = "(define (loop n) (if (= n 0) 'done (loop (- n 1))))\n(loop 123)"
         a = SchemeSystem().run_source(source, "s.ss", instrument=ProfileMode.SAMPLE)
