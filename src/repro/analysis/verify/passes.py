@@ -32,6 +32,15 @@ carries every check's state through a single recursive traversal and
 keeps each check's first finding in source order. All diagnostics use
 ``pass_name="verify"`` and anchor to the artifact's filename, with
 generated-source line numbers where the finding has one.
+
+:func:`verify_projections` verifies a program's full text (every hook
+call and charge, the ``instr+budget`` flavor) and, from the same walk,
+gives the texts of the flavors that are clean because it is: a flavor's
+text deletes whole hook and charge lines, which bind, read and guard no
+name but ``H`` and ``C``. What deleting a line can still change is
+checked on the walk: each deleted statement must stand alone on its
+line, no block may lose all its statements, and no tail-loop rebinding
+may become sequential once the lines between two assignments are gone.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ from repro.core.srcloc import SourceLocation
 from repro.scheme.compile_py.artifact import CompiledArtifact
 from repro.scheme.core_forms import Program
 
-__all__ = ["PASS_NAME", "derive_expected", "verify_artifact"]
+__all__ = ["PASS_NAME", "derive_expected", "verify_artifact", "verify_projections"]
 
 PASS_NAME = "verify"
 
@@ -58,6 +67,14 @@ _ORDER_OPS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
 
 #: A check's first finding: its message and the node it anchors to.
 _Finding = tuple[str, ast.AST | None]
+
+#: The call statements each projection of a full text deletes: ``"C"``
+#: charges and ``"H"`` hook calls (see ``compile_py.artifact.project``).
+_PROJECTIONS = {
+    "instr": frozenset("C"),
+    "budget": frozenset("H"),
+    "plain": frozenset("CH"),
+}
 
 
 def _anchor(filename: str, node: ast.AST | None = None) -> SourceLocation:
@@ -84,19 +101,53 @@ def _is_param_assign(stmt: ast.stmt, params: set[str]) -> bool:
     return False
 
 
+def _call_kind(stmt: ast.stmt) -> str | None:
+    """``"C"`` for a ``C()`` charge statement, ``"H"`` for an ``H[i]()``
+    hook call, None for any other statement."""
+    if not isinstance(stmt, ast.Expr):
+        return None
+    call = stmt.value
+    if not isinstance(call, ast.Call) or call.args or call.keywords:
+        return None
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "C":
+        return "C"
+    if (
+        isinstance(func, ast.Subscript)
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "H"
+        and isinstance(func.slice, ast.Constant)
+        and isinstance(func.slice.value, int)
+    ):
+        return "H"
+    return None
+
+
+def _hook_index(stmt: ast.stmt) -> int:
+    return stmt.value.func.slice.value  # type: ignore[attr-defined]
+
+
 def _continue_finding(
-    block: list[ast.stmt], position: int, params: set[str]
+    block: list[ast.stmt],
+    position: int,
+    params: set[str],
+    deleted: frozenset[str] = frozenset(),
 ) -> _Finding | None:
     """PGMP504 for the ``continue`` at ``block[position]``, rebinding
     ``params``: the assignments right before it must be one parallel
-    tuple assignment."""
+    tuple assignment. ``deleted`` names the call statements (see
+    :func:`_call_kind`) a projection removes from the block."""
     run: list[ast.Assign] = []
     index = position - 1
-    while index >= 0 and _is_param_assign(block[index], params):
-        assign = block[index]
-        assert isinstance(assign, ast.Assign)
-        run.append(assign)
+    while index >= 0:
+        stmt = block[index]
         index -= 1
+        if deleted and _call_kind(stmt) in deleted:
+            continue
+        if not _is_param_assign(stmt, params):
+            break
+        assert isinstance(stmt, ast.Assign)
+        run.append(stmt)
     if len(run) > 1:
         return (
             f"self-tail-call rebinds loop parameters in {len(run)} "
@@ -149,13 +200,15 @@ class _Walk:
     """
 
     def __init__(self) -> None:
-        # PGMP501 / PGMP502
-        self.hooks = 0
-        self.first_hook: tuple[ast.stmt, int] | None = None
+        # PGMP501 / PGMP502: every hook call and charge statement, in order
+        self.hooks: list[ast.stmt] = []
         self.misordered: tuple[ast.stmt, int, int] | None = None
-        self.charges = 0
-        self.first_charge: ast.stmt | None = None
+        self.charges: list[ast.stmt] = []
         self.uncharged_hook: ast.stmt | None = None
+        # Projections: whether some block holds nothing but hook calls and
+        # charges, and the projections with a PGMP504 finding
+        self.calls_only_block = False
+        self.projected_tail_loops: set[str] = set()
         # PGMP503, for the current scope (a function, or the module): every
         # name bound anywhere in it (nested function bodies excluded), and
         # the reads it did not bind when they were seen, in source order.
@@ -180,30 +233,25 @@ class _Walk:
         """Walk sibling statements; ``params`` collects the loop
         parameters when ``stmts`` is a function's body."""
         after_charge = False
+        calls = 0
         for position, stmt in enumerate(stmts):
             if isinstance(stmt, ast.Expr):
-                call = stmt.value
-                if isinstance(call, ast.Call) and not call.args and not call.keywords:
-                    func = call.func
-                    # Only the reads of ``C`` and ``H`` matter to the other
-                    # checks in a budget charge or a hook call.
-                    if isinstance(func, ast.Name) and func.id == "C":  # ``C()``
-                        self.charge(stmt)
-                        self.expr(func)
-                        after_charge = True
-                        continue
-                    if (
-                        isinstance(func, ast.Subscript)
-                        and isinstance(func.value, ast.Name)
-                        and func.value.id == "H"
-                        and isinstance(func.slice, ast.Constant)
-                        and isinstance(func.slice.value, int)
-                    ):  # ``H[i]()``
-                        self.hook(stmt, func.slice.value, after_charge)
-                        self.expr(func.value)
-                        after_charge = False
-                        continue
-                self.expr(call)
+                kind = _call_kind(stmt)
+                # Only the reads of ``C`` and ``H`` matter to the other
+                # checks in a budget charge or a hook call.
+                if kind == "C":
+                    self.charges.append(stmt)
+                    self.expr(stmt.value.func)  # type: ignore[attr-defined]
+                    after_charge = True
+                    calls += 1
+                    continue
+                if kind == "H":
+                    self.hook(stmt, after_charge)
+                    self.expr(stmt.value.func.value)  # type: ignore[attr-defined]
+                    after_charge = False
+                    calls += 1
+                    continue
+                self.expr(stmt.value)
             elif isinstance(stmt, ast.Assign):
                 for target in stmt.targets:
                     self.expr(target)
@@ -237,12 +285,16 @@ class _Walk:
                 self.loop_params = outer
                 self.block(stmt.orelse)
             elif isinstance(stmt, ast.Continue):
-                if self.tail_loop is None:
-                    for loop_params in self.loop_params:
-                        finding = _continue_finding(stmts, position, loop_params)
-                        if finding is not None:
-                            self.tail_loop = finding
-                            break
+                for loop_params in self.loop_params:
+                    if self.tail_loop is None:
+                        self.tail_loop = _continue_finding(
+                            stmts, position, loop_params
+                        )
+                    for flavor, deleted in _PROJECTIONS.items():
+                        if flavor not in self.projected_tail_loops and (
+                            _continue_finding(stmts, position, loop_params, deleted)
+                        ):
+                            self.projected_tail_loops.add(flavor)
             elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 # Only the module's imports are part of the environment
                 # codegen establishes.
@@ -255,20 +307,16 @@ class _Walk:
             else:
                 self.children(stmt)
             after_charge = False
+        if stmts and calls == len(stmts):
+            self.calls_only_block = True
 
-    def charge(self, stmt: ast.Expr) -> None:
-        if self.first_charge is None:
-            self.first_charge = stmt
-        self.charges += 1
-
-    def hook(self, stmt: ast.Expr, index: int, after_charge: bool) -> None:
-        if self.first_hook is None:
-            self.first_hook = (stmt, index)
-        if self.misordered is None and index != self.hooks:
-            self.misordered = (stmt, self.hooks, index)
+    def hook(self, stmt: ast.Expr, after_charge: bool) -> None:
+        index = _hook_index(stmt)
+        if self.misordered is None and index != len(self.hooks):
+            self.misordered = (stmt, len(self.hooks), index)
         if self.uncharged_hook is None and not after_charge:
             self.uncharged_hook = stmt
-        self.hooks += 1
+        self.hooks.append(stmt)
 
     def function(self, fn: ast.FunctionDef) -> None:
         self.bound.add(fn.name)
@@ -409,8 +457,9 @@ def _hooks(
     walk: _Walk, artifact: CompiledArtifact, expected: ExpectedEvents | None
 ) -> _Finding | None:
     if "instr" not in artifact.flavor:
-        if walk.first_hook is not None:
-            stmt, index = walk.first_hook
+        if walk.hooks:
+            stmt = walk.hooks[0]
+            index = _hook_index(stmt)
             return f"non-instrumented flavor emits hook call H[{index}]", stmt
         return None
     if walk.misordered is not None:
@@ -420,9 +469,9 @@ def _hooks(
             f"{index}; emission order must match traversal order",
             stmt,
         )
-    if walk.hooks != len(artifact.hook_sites):
+    if len(walk.hooks) != len(artifact.hook_sites):
         return (
-            f"generated source contains {walk.hooks} hook call(s) but the "
+            f"generated source contains {len(walk.hooks)} hook call(s) but the "
             f"artifact records {len(artifact.hook_sites)} hook site(s)",
             None,
         )
@@ -450,19 +499,20 @@ def _hooks(
 def _charges(
     walk: _Walk, artifact: CompiledArtifact, expected: ExpectedEvents | None
 ) -> _Finding | None:
+    charges = len(walk.charges)
     if "budget" not in artifact.flavor:
-        if walk.first_charge is not None:
-            return "non-budget flavor emits a C() charge", walk.first_charge
+        if charges:
+            return "non-budget flavor emits a C() charge", walk.charges[0]
         return None
-    if artifact.charge_count >= 0 and walk.charges != artifact.charge_count:
+    if artifact.charge_count >= 0 and charges != artifact.charge_count:
         return (
-            f"generated source contains {walk.charges} C() charge(s) but "
+            f"generated source contains {charges} C() charge(s) but "
             f"codegen recorded {artifact.charge_count}",
             None,
         )
-    if expected is not None and walk.charges != expected.charge_count:
+    if expected is not None and charges != expected.charge_count:
         return (
-            f"generated source contains {walk.charges} C() charge(s) but "
+            f"generated source contains {charges} C() charge(s) but "
             f"the interpreter traversal evaluates {expected.charge_count} "
             f"node(s)",
             None,
@@ -520,6 +570,72 @@ def verify_artifact(
     paths. ``derived`` is :func:`derive_expected` of the program when the
     caller verifies several flavors of it; it replaces ``program``.
     """
+    return _verify(artifact, program, filename, derived)[0]
+
+
+def verify_projections(
+    full: CompiledArtifact,
+    filename: str | None = None,
+    derived: ExpectedEvents | Exception | None = None,
+) -> tuple[AnalysisReport, dict[str, str]]:
+    """:func:`verify_artifact` of a program's full (``instr+budget``)
+    text, and the texts of the flavors that are clean because it is.
+
+    Each such flavor maps to the full text without the lines of the
+    statements it drops (hook calls and/or charges): an artifact of that
+    flavor with exactly that text, and with the hook sites and charge
+    count its flavor keeps, verifies clean. No flavor qualifies unless
+    the full text has no diagnostic at all, and one is left out when a
+    dropped statement does not fill its line alone, when a block would
+    be left empty, or when its tail loops would report PGMP504.
+    """
+    report, walk = _verify(full, None, filename, derived)
+    source = full.python_source
+    if walk is None or report.diagnostics or walk.calls_only_block:
+        return report, {}
+    if "\r" in source:  # line numbers would not index ``split("\n")``
+        return report, {}
+    lines = source.split("\n")
+
+    def own_lines(stmts: list[ast.stmt]) -> set[int] | None:
+        numbers = set()
+        for stmt in stmts:
+            number = stmt.lineno - 1
+            line = lines[number]
+            if (
+                stmt.end_lineno != stmt.lineno
+                or stmt.end_col_offset != len(line)
+                or line[: stmt.col_offset].strip()
+                or (number and lines[number - 1].endswith("\\"))
+            ):
+                return None
+            numbers.add(number)
+        return numbers
+
+    dropped: dict[str, set[int]] = {}
+    for kind, stmts in (("H", walk.hooks), ("C", walk.charges)):
+        numbers = own_lines(stmts)
+        if numbers is not None:
+            dropped[kind] = numbers
+    texts = {"instr+budget": source}
+    for flavor, kinds in _PROJECTIONS.items():
+        if flavor in walk.projected_tail_loops or not kinds <= dropped.keys():
+            continue
+        gone = {number for kind in kinds for number in dropped[kind]}
+        texts[flavor] = "\n".join(
+            line for number, line in enumerate(lines) if number not in gone
+        )
+    return report, texts
+
+
+def _verify(
+    artifact: CompiledArtifact,
+    program: Program | None,
+    filename: str | None,
+    derived: ExpectedEvents | Exception | None,
+) -> tuple[AnalysisReport, _Walk | None]:
+    """The report of :func:`verify_artifact`, and the walk of the parsed
+    source when there was one."""
     report = AnalysisReport()
     name = filename if filename is not None else artifact.filename
     prefix = f"artifact[{artifact.flavor}]: "
@@ -532,7 +648,7 @@ def verify_artifact(
             _anchor(name),
             PASS_NAME,
         )
-        return report
+        return report, None
     source = artifact.python_source
     if not source:
         # Mirrors CompiledArtifact.self_check: instr flavors legitimately
@@ -545,7 +661,7 @@ def verify_artifact(
                 _anchor(name),
                 PASS_NAME,
             )
-        return report
+        return report, None
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:
@@ -555,7 +671,7 @@ def verify_artifact(
             _anchor(name),
             PASS_NAME,
         )
-        return report
+        return report, None
     if derived is None:
         derived = derive_expected(
             program if program is not None else artifact.program
@@ -587,4 +703,4 @@ def verify_artifact(
         if finding is not None:
             message, node = finding
             report.emit(code, prefix + message, _anchor(name, node), PASS_NAME)
-    return report
+    return report, walk

@@ -16,6 +16,7 @@ backend and translation-validates every artifact flavor:
 from __future__ import annotations
 
 import ast
+import dataclasses
 import os
 from collections.abc import Iterable, Sequence
 from typing import cast
@@ -27,6 +28,7 @@ from repro.analysis.verify.passes import (
     PASS_NAME,
     derive_expected,
     verify_artifact,
+    verify_projections,
 )
 from repro.core.database import ProfileDatabase
 from repro.core.srcloc import SourceLocation
@@ -35,6 +37,7 @@ from repro.scheme.compile_py.artifact import (
     CompiledArtifact,
     artifact_checksum,
     compile_program,
+    flavor_artifact,
 )
 from repro.scheme.compile_py.codegen import CODEGEN_VERSION
 from repro.scheme.core_forms import Program
@@ -52,28 +55,53 @@ __all__ = [
 ALL_FLAVORS: tuple[str, ...] = ("plain", "instr", "budget", "instr+budget")
 
 
-def verify_program(
-    program: Program,
-    filename: str = "<program>",
-    flavors: Sequence[str] = ALL_FLAVORS,
-) -> AnalysisReport:
+def verify_program(program: Program, filename: str = "<program>") -> AnalysisReport:
     """Translation-validate every flavor of one expanded program.
 
-    Reuses artifacts already memoized on ``program.artifacts`` (the
-    pipeline's per-flavor cache) — so a poisoned in-memory artifact is
-    *verified as-is*, not silently recompiled into innocence — and
-    memoizes any flavor it has to compile itself. The expected events
-    are derived from the core forms once, for all flavors.
+    Generates the program's full text, with every hook call and charge,
+    and parses and checks it once. Each flavor is then the artifact
+    memoized on ``program.artifacts`` — so a poisoned in-memory artifact
+    is *verified as-is*, not silently recompiled into innocence — or else
+    the full text's projection that ``compile_program`` would build. A
+    flavor that is exactly a projection
+    :func:`~repro.analysis.verify.passes.verify_projections` vouches for
+    is clean without a parse of its own; any other flavor is verified in
+    full, so codes, messages and lines are those of
+    :func:`verify_artifact` on each flavor in turn. The expected events
+    are derived from the core forms once, for all flavors. Nothing is
+    compiled, executed or memoized.
     """
     report = AnalysisReport()
     derived = derive_expected(program)
-    for flavor in flavors:
-        artifact = program.artifacts.get(flavor)
-        if artifact is None:
-            artifact = compile_program(program, filename, flavor)
-            program.artifacts[flavor] = artifact
-        report.extend(verify_artifact(artifact, filename=filename, derived=derived))
+    full = compile_program(program, filename, "instr+budget")
+    full_report, clean = verify_projections(full, filename, derived)
+    unit = (full.python_source, full.hook_sites, full.charge_count)
+    for flavor in ALL_FLAVORS:
+        if full.runnable:
+            projected = flavor_artifact(unit, filename, flavor, program=program)
+        else:
+            projected = dataclasses.replace(full, flavor=flavor)
+        artifact = program.artifacts.get(flavor, projected)
+        same = artifact is projected or _same_inputs(artifact, projected)
+        if same and clean.get(flavor) == projected.python_source:
+            continue
+        if same and flavor == full.flavor:
+            report.extend(full_report)
+        else:
+            report.extend(verify_artifact(artifact, filename=filename, derived=derived))
     return report
+
+
+def _same_inputs(artifact: CompiledArtifact, projected: CompiledArtifact) -> bool:
+    """Whether :func:`verify_artifact` reads the same fields of both."""
+    return (
+        artifact.runnable
+        and projected.runnable
+        and artifact.flavor == projected.flavor
+        and artifact.python_source == projected.python_source
+        and list(artifact.hook_sites) == projected.hook_sites
+        and artifact.charge_count == projected.charge_count
+    )
 
 
 def _verify_unit(

@@ -3,11 +3,12 @@
 Submodules:
 
 * :mod:`~repro.scheme.compile_py.codegen` — the core-form → Python
-  translation (semantics-preserving, including profile hooks and fuel);
+  translation (semantics-preserving, including profile hooks and fuel),
+  one text per program;
 * :mod:`~repro.scheme.compile_py.runtime` — the small ``RT`` module
   generated code runs against;
-* :mod:`~repro.scheme.compile_py.artifact` — compiled artifacts and their
-  on-disk form;
+* :mod:`~repro.scheme.compile_py.artifact` — compiled artifacts, each
+  flavor a line projection of that text, and their on-disk form;
 * :mod:`~repro.scheme.compile_py.cache` — the ``(source fingerprint,
   profile generation)``-keyed artifact cache.
 
@@ -25,7 +26,6 @@ from repro.scheme.compile_py.cache import ArtifactCache, artifact_filename
 from repro.scheme.compile_py.codegen import (
     CODEGEN_VERSION,
     UnsupportedFormError,
-    generate_source,
     generate_unit,
 )
 
@@ -38,6 +38,5 @@ __all__ = [
     "artifact_filename",
     "compile_program",
     "flavor_for",
-    "generate_source",
     "generate_unit",
 ]

@@ -3,17 +3,24 @@
 An artifact is the unit the cache stores and the pipeline swaps in for
 interpretation. It always keeps the *generated source* (debuggability: a
 cached artifact on disk is a readable Python module) and, when the
-program is translatable, the compiled ``_pgmp_main`` entry point.
+program is translatable, compiles it to the ``_pgmp_main`` entry point on
+first use: an artifact nothing runs is never compiled.
 
-Programs the backend cannot translate still produce an artifact — with
-``main is None`` and only the expansion text — so a warm cache can answer
+Codegen emits one text per program, with every hook call and every
+charge; :func:`project` derives a flavor's text from it by deleting
+whole ``H[i]()`` and/or ``C()`` lines.
+
+Programs the backend cannot translate still produce an artifact — not
+runnable, with only the expansion text — so a warm cache can answer
 ``pgmp optimize`` without re-expanding even for interpreter-only programs.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
+from types import CodeType
 
 from repro.core.errors import SchemeRecursionError
 from repro.core.policy import StepBudget
@@ -32,7 +39,9 @@ __all__ = [
     "CompiledArtifact",
     "artifact_checksum",
     "compile_program",
+    "flavor_artifact",
     "flavor_for",
+    "project",
 ]
 
 
@@ -57,6 +66,23 @@ def flavor_for(instrumented: bool, budgeted: bool) -> str:
     return "plain"
 
 
+#: The lines each flavor deletes from the full text: a flavor keeps hook
+#: calls iff it is instrumented, and charges iff it is budgeted.
+_DELETED_LINES = {
+    "instr": re.compile(r"^ *C\(\)\n", re.MULTILINE),
+    "budget": re.compile(r"^ *H\[\d+\]\(\)\n", re.MULTILINE),
+    "plain": re.compile(r"^ *(?:C\(\)|H\[\d+\]\(\))\n", re.MULTILINE),
+}
+
+
+def project(source: str, flavor: str) -> str:
+    """``flavor``'s text: the full text without the lines it deletes."""
+    deleted = _DELETED_LINES.get(
+        flavor_for("instr" in flavor, "budget" in flavor)
+    )
+    return source if deleted is None else deleted.sub("", source)
+
+
 @dataclass(slots=True)
 class CompiledArtifact:
     """One compiled (or expansion-only) program, ready to execute."""
@@ -72,18 +98,37 @@ class CompiledArtifact:
     #: the expanded Program, when this artifact was built in-process
     #: (disk-loaded artifacts don't carry one)
     program: Program | None = None
+    #: the ``_pgmp_main`` entry point; None until the first execute
+    #: compiles ``python_source``, or for an untranslatable program
     main: object = None
-    #: why ``main`` is None, for fallback diagnostics
+    #: why the program is untranslatable, for fallback diagnostics
     unsupported_reason: str = ""
     codegen_version: int = CODEGEN_VERSION
     #: C() charges codegen emitted (0 for non-budget flavors); -1 means
     #: unknown (e.g. artifacts predating the metadata)
     charge_count: int = -1
-    _fields: dict = field(default_factory=dict, repr=False)
+    #: ``(text, code)`` of the one compile of ``python_source``, shared
+    #: by ``execute`` and ``self_check``
+    _compiled: tuple[str, CodeType] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def runnable(self) -> bool:
-        return self.main is not None
+        return self.main is not None or (
+            bool(self.python_source) and not self.unsupported_reason
+        )
+
+    def _code(self) -> CodeType:
+        """``python_source`` compiled, at most once per text (raises
+        ``SyntaxError``). A text replaced after the compile is compiled
+        afresh, so a tampered source cannot hide behind an old compile."""
+        compiled = self._compiled
+        if compiled is None or compiled[0] is not self.python_source:
+            source = self.python_source
+            code = compile(source, f"<pgmp-compiled {self.filename}>", "exec")
+            compiled = self._compiled = (source, code)
+        return compiled[1]
 
     def self_check(self) -> list[str]:
         """Integrity problems with this artifact (empty = healthy).
@@ -105,11 +150,7 @@ class CompiledArtifact:
             problems.append("main entry point is not callable")
         if self.python_source:
             try:
-                compile(
-                    self.python_source,
-                    f"<pgmp-selfcheck {self.filename}>",
-                    "exec",
-                )
+                self._code()
             except SyntaxError as exc:
                 problems.append(f"generated source does not parse: {exc}")
         elif self.main is not None and "instr" not in self.flavor:
@@ -126,8 +167,9 @@ class CompiledArtifact:
 
         The caller must pass a configuration matching this artifact's
         flavor: hooks and charges exist only where they were compiled in.
+        The first call compiles the generated source.
         """
-        if self.main is None:
+        if not self.runnable:
             raise UnsupportedFormError(
                 self.unsupported_reason or "artifact is expansion-only"
             )
@@ -137,10 +179,15 @@ class CompiledArtifact:
                 f"artifact flavor {self.flavor!r} cannot run a "
                 f"{expected!r} configuration"
             )
+        main = self.main
+        if main is None:
+            namespace: dict = {}
+            exec(self._code(), namespace)
+            main = self.main = namespace["_pgmp_main"]
         hooks = RT.hook_table(instrumenter, self.hook_sites)
         charge = budget.charge if budget is not None else None
         try:
-            return self.main(global_env, hooks, charge)
+            return main(global_env, hooks, charge)
         except RecursionError:
             # Backstop, mirroring Interpreter.run_top_form: call sites
             # inside the generated code convert first and carry a srcloc.
@@ -154,6 +201,31 @@ def _exec_module(source: str, filename: str) -> dict:
     return namespace
 
 
+def flavor_artifact(
+    unit: tuple[str, list, int],
+    filename: str,
+    flavor: str,
+    expansion_text: str = "",
+    compile_output: str = "",
+    key: ArtifactKey | None = None,
+    program: Program | None = None,
+) -> CompiledArtifact:
+    """The ``flavor`` artifact of a :func:`generate_unit` result: its
+    text projected, with the hook sites and charges that text keeps."""
+    source, hook_sites, charge_count = unit
+    return CompiledArtifact(
+        python_source=project(source, flavor),
+        filename=filename,
+        flavor=flavor,
+        hook_sites=hook_sites if "instr" in flavor else [],
+        expansion_text=expansion_text,
+        compile_output=compile_output,
+        key=key,
+        program=program,
+        charge_count=charge_count if "budget" in flavor else 0,
+    )
+
+
 def compile_program(
     program: Program,
     filename: str,
@@ -162,18 +234,16 @@ def compile_program(
     compile_output: str = "",
     key: ArtifactKey | None = None,
 ) -> CompiledArtifact:
-    """Translate an expanded program into an executable artifact.
+    """Translate an expanded program into an artifact of ``flavor``.
 
-    Returns an expansion-only artifact (``main is None``) instead of
-    raising when the program uses untranslatable forms, so callers decide
-    between fallback and error uniformly.
+    Generates the program's one text and projects the flavor from it;
+    nothing is compiled until the artifact first executes. Returns an
+    expansion-only artifact (``runnable`` false) instead of raising when
+    the program uses untranslatable forms, so callers decide between
+    fallback and error uniformly.
     """
-    instrumented = "instr" in flavor
-    budgeted = "budget" in flavor
     try:
-        source, hook_sites, charge_count = generate_unit(
-            program, instrumented=instrumented, budgeted=budgeted
-        )
+        unit = generate_unit(program)
     except UnsupportedFormError as exc:
         return CompiledArtifact(
             python_source="",
@@ -187,18 +257,8 @@ def compile_program(
             main=None,
             unsupported_reason=str(exc),
         )
-    namespace = _exec_module(source, filename)
-    return CompiledArtifact(
-        python_source=source,
-        filename=filename,
-        flavor=flavor,
-        hook_sites=hook_sites,
-        expansion_text=expansion_text,
-        compile_output=compile_output,
-        key=key,
-        program=program,
-        main=namespace["_pgmp_main"],
-        charge_count=charge_count,
+    return flavor_artifact(
+        unit, filename, flavor, expansion_text, compile_output, key, program
     )
 
 

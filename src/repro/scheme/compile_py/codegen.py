@@ -21,12 +21,16 @@ each step runs:
   sentinel, so mutual tail recursion runs in constant stack under either
   backend and compiled/interpreted procedures can call each other freely.
 
-Fuel and instrumentation are preserved exactly: when the requested flavor
-includes them, every node evaluation emits a budget charge ``C()`` and —
-for nodes carrying a profile point — a hook call ``H[i]()`` in the
-interpreter's wrapper order (charge, then bump, then the node's effect).
-Hook sites are recorded as an ordered ``(point, is_app)`` list so the
-artifact can rebuild per-site bumps for any instrumenter at run time.
+Fuel and instrumentation are preserved exactly: every node evaluation
+emits a budget charge ``C()`` and — for nodes carrying a profile point —
+a hook call ``H[i]()`` in the interpreter's wrapper order (charge, then
+bump, then the node's effect), each on a line of its own. Codegen emits
+this one text per program; every artifact flavor is a projection of it
+that deletes the ``H[i]()`` lines, the ``C()`` lines, or both
+(:func:`repro.scheme.compile_py.artifact.project`), so the flavors differ
+by whole lines and nothing else. Hook sites are recorded as an ordered
+``(point, is_app)`` list so the artifact can rebuild per-site bumps for
+any instrumenter at run time.
 
 ``syntax-case`` and template forms (expand-time constructs that rarely
 survive into run-time programs) are not translated; codegen raises
@@ -68,13 +72,12 @@ from repro.scheme.datum import (
 __all__ = [
     "CODEGEN_VERSION",
     "UnsupportedFormError",
-    "generate_source",
     "generate_unit",
 ]
 
 #: Part of every artifact-cache key: bump on any change to the generated
 #: code's shape or semantics so stale cached artifacts never load.
-CODEGEN_VERSION = 1
+CODEGEN_VERSION = 2
 
 
 class UnsupportedFormError(SchemeError):
@@ -112,6 +115,13 @@ _INLINE_OPS = {
     "eq?": ("P_eqp", 2, "{a} is {b}", "True"),
     "not": ("P_not", 1, None, "{a} is False"),
 }
+
+#: Inline ops whose templates above compare a bare operand with ``is``.
+_IDENTITY_OPS = frozenset({"null?", "eq?", "not"})
+
+#: First characters of the atoms that are Python number or string
+#: literals (names, ``RT.*`` attributes, ``True`` and ``False`` are not).
+_LITERAL_START = frozenset("0123456789-'\"")
 
 
 def _inlinable_beta(e: App) -> bool:
@@ -181,10 +191,8 @@ class _Fn:
 
 
 class _Codegen:
-    def __init__(self, program: Program, instrumented: bool, budgeted: bool):
+    def __init__(self, program: Program):
         self.program = program
-        self.instrumented = instrumented
-        self.budgeted = budgeted
         self.body: list[str] = []
         self.indent = 1
         self._counter = 0
@@ -195,9 +203,8 @@ class _Codegen:
         self.current_form = -1
         #: ordered (profile point, is_app) per emitted hook call
         self.hook_sites: list[tuple[ProfilePoint, bool]] = []
-        #: how many C() charges were emitted (0 unless budgeted) — recorded
-        #: so translation validation can check charge sites without
-        #: re-running codegen
+        #: how many C() charges were emitted — recorded so translation
+        #: validation can check charge sites without re-running codegen
         self.charge_count = 0
         self._symbols: dict[Symbol, str] = {}
         self._locs: dict[str, str] = {}
@@ -279,14 +286,12 @@ class _Codegen:
 
     def node_prologue(self, e: CoreExpr) -> None:
         """Budget charge and profile bump, in the interpreter's order."""
-        if self.budgeted:
-            self.charge_count += 1
-            self.w("C()")
-        if self.instrumented:
-            point = e.profile_point
-            if point is not None:
-                self.hook_sites.append((point, isinstance(e, App)))
-                self.w(f"H[{len(self.hook_sites) - 1}]()")
+        self.charge_count += 1
+        self.w("C()")
+        point = e.profile_point
+        if point is not None:
+            self.hook_sites.append((point, isinstance(e, App)))
+            self.w(f"H[{len(self.hook_sites) - 1}]()")
 
     # -- constants -------------------------------------------------------------
 
@@ -414,7 +419,7 @@ class _Codegen:
 
     def _if(self, e: If, fn: _Fn, tail: bool) -> str | None:
         self.node_prologue(e)
-        test = self.expr(e.test, fn)
+        test = self._unliteral(self.expr(e.test, fn))
         if tail:
             self.w(f"if {test} is not False:")
             self.indent += 1
@@ -449,6 +454,17 @@ class _Codegen:
             self.expr_tail(e.exprs[-1], fn)
             return None
         return self.expr(e.exprs[-1], fn)
+
+    def _unliteral(self, atom: str) -> str:
+        """``atom``, or a temporary bound to it when it is a number or
+        string literal, for use as an operand of ``is``: ``5 is not
+        False`` makes compile() warn (an error under ``-W error``). The
+        binding adds no charge or hook."""
+        if atom[0] in _LITERAL_START:
+            t = self.tmp()
+            self.w(f"{t} = {atom}")
+            return t
+        return atom
 
     # -- applications ----------------------------------------------------------
 
@@ -506,6 +522,8 @@ class _Codegen:
         self.w(f"{tf} = _B.get({sym})")
         self.w(f"if {tf} is None: {tf} = GB.lookup({sym})")
         atoms = [self.expr(arg, fn) for arg in e.args]
+        if u.name in _IDENTITY_OPS:
+            atoms = [self._unliteral(atom) for atom in atoms]
         slots = {"a": atoms[0], "b": atoms[-1]}
         t = self.tmp()
         cond = f"{tf} is RT.{prim_name}"
@@ -672,28 +690,21 @@ class _Codegen:
         return "\n".join(lines), self.hook_sites
 
 
-def generate_source(
-    program: Program, instrumented: bool = False, budgeted: bool = False
-) -> tuple[str, list[tuple[ProfilePoint, bool]]]:
-    """Translate an expanded program to Python source.
+def generate_unit(
+    program: Program,
+) -> tuple[str, list[tuple[ProfilePoint, bool]], int]:
+    """Translate an expanded program to its one Python text.
 
-    Returns ``(source, hook_sites)``. Deterministic for a given program
-    and flavor (names come from a sequential counter over a fixed
+    Returns ``(source, hook_sites, charge_count)``: the text carries every
+    hook call and every charge, ``hook_sites`` lists the ``(point,
+    is_app)`` of each ``H[i]()`` in order, and ``charge_count`` is
+    codegen's own record of how many ``C()`` charges the text contains
+    (translation validation, PGMP502, cross-checks it against both the
+    text and the interpreter-order traversal). Deterministic for a given
+    program (names come from a sequential counter over a fixed
     traversal), so artifacts are reproducible byte for byte. Raises
     :class:`UnsupportedFormError` for programs the backend cannot run.
     """
-    return _Codegen(program, instrumented, budgeted).generate()
-
-
-def generate_unit(
-    program: Program, instrumented: bool = False, budgeted: bool = False
-) -> tuple[str, list[tuple[ProfilePoint, bool]], int]:
-    """Like :func:`generate_source`, plus the emitted charge count.
-
-    ``charge_count`` is codegen's own record of how many ``C()`` charges
-    the source contains; translation validation (PGMP502) cross-checks it
-    against both the source and the interpreter-order traversal.
-    """
-    codegen = _Codegen(program, instrumented, budgeted)
+    codegen = _Codegen(program)
     source, hook_sites = codegen.generate()
     return source, hook_sites, codegen.charge_count

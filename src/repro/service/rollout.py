@@ -166,7 +166,9 @@ def scheme_canary(
     candidate that exhausts it fails the sanity check) and the compiled
     run must finish within ``latency_ceiling`` seconds. Artifacts the
     candidate has already materialized are also :meth:`self-checked
-    <repro.scheme.compile_py.artifact.CompiledArtifact.self_check>`.
+    <repro.scheme.compile_py.artifact.CompiledArtifact.self_check>`; an
+    artifact that ran is checked against the compile that ran it, so only
+    one that nothing ran is compiled here.
     """
     from repro.core.policy import StepBudget
     from repro.scheme.datum import write_datum
@@ -265,29 +267,27 @@ class StaticVerifyResult:
         return f"static verify {verdict}: {self.summary()}"
 
 
-def scheme_static_verifier(
-    flavors: Sequence[str] | None = None,
-) -> Callable[[Any], StaticVerifyResult]:
+def scheme_static_verifier() -> Callable[[Any], StaticVerifyResult]:
     """A static translation validator for Scheme candidates.
 
     Runs the PGMP5xx pass family (:mod:`repro.analysis.verify`) over
     every artifact flavor of the candidate program — no probe inputs, no
     execution of the candidate — so a miscompiled branch the canary's
-    probes never reach is still caught. Only ERROR-severity findings
-    fail the candidate; PGMP506 fallback infos are recorded as findings
-    text but do not block (an interpreter-fallback program is slower,
-    not wrong).
+    probes never reach is still caught. The candidate's one generated
+    text is parsed once; see :func:`~repro.analysis.verify.verify_program`.
+    Only ERROR-severity findings fail the candidate; PGMP506 fallback
+    infos are recorded as findings text but do not block (an
+    interpreter-fallback program is slower, not wrong).
     """
 
     def verify(candidate: Any) -> StaticVerifyResult:
         from repro.analysis.verify import ALL_FLAVORS, verify_program
 
-        chosen = tuple(flavors) if flavors is not None else ALL_FLAVORS
-        report = verify_program(candidate, "<candidate>", flavors=chosen)
+        report = verify_program(candidate, "<candidate>")
         errors = report.errors()
         return StaticVerifyResult(
             passed=not errors,
-            artifacts=len(chosen),
+            artifacts=len(ALL_FLAVORS),
             findings=tuple(str(diag) for diag in errors),
         )
 

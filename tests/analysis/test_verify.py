@@ -77,11 +77,21 @@ class TestCleanArtifacts:
         )
         assert not report.diagnostics
 
-    def test_verify_program_memoizes_compiled_flavors(self):
-        program = _program()
+    def test_verify_program_leaves_artifacts_untouched(self):
+        from repro.obs.metrics import get_global_metrics
+
+        system = SchemeSystem(backend="compile")
+        program = system.compile(TAIL_LOOP, "<t>")
+        system.run(program)
+        before = dict(program.artifacts)
+        assert set(before) == {"plain"}
+        metrics = get_global_metrics()
+        compiles = metrics.counter("artifact_compiles_total")
         report = verify_program(program, "<t>")
-        assert not report.errors()
-        assert set(program.artifacts) == set(ALL_FLAVORS)
+        assert not report.diagnostics
+        assert program.artifacts == before
+        assert all(program.artifacts[f] is a for f, a in before.items())
+        assert metrics.counter("artifact_compiles_total") == compiles
 
     def test_expected_events_match_codegen_metadata(self):
         program = _program()

@@ -14,7 +14,7 @@ from repro.core.errors import (
     StepBudgetExceeded,
 )
 from repro.core.policy import StepBudget
-from repro.scheme.compile_py import generate_source
+from repro.scheme.compile_py import generate_unit
 from repro.scheme.datum import write_datum
 from repro.scheme.instrument import ProfileMode
 from repro.scheme.pipeline import SchemeSystem
@@ -199,7 +199,7 @@ def test_generated_source_is_deterministic():
     for _ in range(2):
         system = SchemeSystem()
         program = system.compile(source, "<det>")
-        text, sites = generate_source(program, instrumented=True, budgeted=True)
+        text, sites, _ = generate_unit(program)
         texts.append((text, len(sites)))
     assert texts[0] == texts[1]
 
@@ -226,6 +226,75 @@ def test_compiled_artifacts_are_memoized_per_program():
     assert "_pgmp_main" in artifact.python_source
     system.run(program)
     assert program.artifacts["plain"] is artifact, "compiled exactly once"
+
+
+def test_one_text_is_compiled_once_across_execute_and_self_check(monkeypatch):
+    from repro.scheme.compile_py import artifact as artifact_module
+
+    compiled = []
+
+    def counting_compile(source, filename, mode):
+        compiled.append(filename)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(artifact_module, "compile", counting_compile, raising=False)
+    system = SchemeSystem(backend="compile")
+    program = system.compile("(define (f x) (+ x 1)) (f 41)", "<once>")
+    artifact = artifact_module.compile_program(program, "<once>", "plain")
+    assert not compiled, "building an artifact compiles nothing"
+    assert write_datum(artifact.execute(system.runtime_env)) == "42"
+    assert artifact.self_check() == []
+    assert artifact.execute(system.runtime_env) == 42
+    assert len(compiled) == 1
+    fresh = artifact_module.compile_program(program, "<once>", "plain")
+    assert fresh.self_check() == []
+    assert fresh.execute(system.runtime_env) == 42
+    assert len(compiled) == 2, "self_check before any run compiles for it"
+
+
+def test_self_check_reports_a_source_tampered_after_it_ran():
+    system = SchemeSystem(backend="compile")
+    program = system.compile("(define (f x) (+ x 1)) (f 41)", "<tamper>")
+    system.run(program)
+    artifact = program.artifacts["plain"]
+    assert artifact.self_check() == []
+    artifact.python_source = artifact.python_source[:-10] + "\ndef ):\n"
+    (problem,) = artifact.self_check()
+    assert problem.startswith("generated source does not parse")
+
+
+LITERAL_OPERANDS = [
+    "(define (body) (if 5 1 2)) (body)",
+    "(define (body) (if \"s\" 1 2)) (body)",
+    "(define (body) (list (if 2.5 'a 'b) (if -3 'c 'd))) (body)",
+    "(define (body x) (list (not 5) (null? 7) (eq? x 5) (eq? 'a \"a\"))) (body 5)",
+    "(define (body) (not 5)) (body)",
+    "(define (body) (if (begin 1 5) (if (let ([a 1]) -2) 'x 'y) 'z)) (body)",
+]
+
+
+@pytest.mark.parametrize("source", LITERAL_OPERANDS)
+def test_literal_operands_of_is_compile_without_warning(source):
+    """A literal ``if`` test or identity operand once compiled to ``5 is
+    not False``, which compile() warns about (an error under -W error)."""
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SyntaxWarning)
+        observations = {b: _observe(b, source) for b in BACKENDS}
+        counts = {
+            b: _run(b, source, instrument=ProfileMode.EXPR).counters.snapshot()
+            for b in BACKENDS
+        }
+        charged = {}
+        for b in BACKENDS:
+            budget = StepBudget(10_000)
+            _run(b, source, budget=budget)
+            charged[b] = budget.remaining
+    assert observations["compile"] == observations["interp"]
+    assert observations["interp"][0] == "ok"
+    assert counts["compile"] == counts["interp"]
+    assert charged["compile"] == charged["interp"]
 
 
 def test_case_study_library_parity():
