@@ -40,6 +40,7 @@ interpreter.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -77,7 +78,7 @@ __all__ = [
 
 #: Part of every artifact-cache key: bump on any change to the generated
 #: code's shape or semantics so stale cached artifacts never load.
-CODEGEN_VERSION = 2
+CODEGEN_VERSION = 3
 
 
 class UnsupportedFormError(SchemeError):
@@ -308,6 +309,9 @@ class _Codegen:
             return "RT.EOF"
         if isinstance(value, Symbol):
             return self._symbol(value)
+        if isinstance(value, float) and not math.isfinite(value):
+            # repr() gives the names inf and nan, which the module lacks
+            return f"RT.flonum({str(value)!r})"
         if isinstance(value, (int, float, str)):
             return repr(value)
         if isinstance(value, Char):
@@ -331,9 +335,11 @@ class _Codegen:
 
     def _const_atom(self, e: Const) -> str:
         value = e.value
-        if isinstance(value, (Pair, SchemeVector, Char, Fraction)):
+        if isinstance(value, (Pair, SchemeVector, Char, Fraction)) or (
+            isinstance(value, float) and not math.isfinite(value)
+        ):
             # Hoisted: built once per execution, so repeated evaluation of
-            # this node yields the same (mutable) object, exactly like the
+            # this node yields the same object, exactly like the
             # interpreter's shared Const value.
             name = f"K{len(self._kconsts)}"
             self._kconsts.append((name, self._const_expr(value)))

@@ -60,6 +60,7 @@ EOF = EOF_OBJECT
 sym = Symbol
 char = Char
 fraction = Fraction
+flonum = float
 slist = scheme_list
 
 

@@ -38,7 +38,6 @@ from repro.service.delta import (
 )
 from repro.service.aggregator import StopResult
 from repro.service.fleet import (
-    FleetShipper,
     FleetSupervisor,
     HashRing,
     RootMerger,
@@ -64,7 +63,6 @@ __all__ = [
     "DeltaBatch",
     "DeltaLedger",
     "FrameDecoder",
-    "FleetShipper",
     "FleetSupervisor",
     "HashRing",
     "RootMerger",

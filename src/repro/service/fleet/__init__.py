@@ -13,8 +13,9 @@ Optimization*):
 * the :class:`RootMerger` owns the public checkpoint and the existing
   controller/rollout pipeline, answers ``ring`` queries, and exposes
   per-shard labeled metrics;
-* a :class:`FleetShipper` fans one worker's counters out over the ring
-  and re-resolves restarted shards through the root;
+* a :class:`~repro.service.shipper.ProfileShipper` given a shard map
+  routes each flush over the ring, one lane per shard, and re-resolves a
+  restarted shard through the root;
 * a :class:`FleetSupervisor` runs the whole topology locally
   (``pgmp serve --shards N``), restarting crashed shards in place.
 """
@@ -22,17 +23,14 @@ Optimization*):
 from repro.service.fleet.ring import DEFAULT_REPLICAS, HashRing
 from repro.service.fleet.root import RootMerger, ShardRecord
 from repro.service.fleet.shard import ShardAggregator, WriteAheadLog
-from repro.service.fleet.shipper import FleetShipper, fetch_ring
 from repro.service.fleet.supervisor import FleetSupervisor
 
 __all__ = [
     "DEFAULT_REPLICAS",
-    "FleetShipper",
     "FleetSupervisor",
     "HashRing",
     "RootMerger",
     "ShardAggregator",
     "ShardRecord",
     "WriteAheadLog",
-    "fetch_ring",
 ]

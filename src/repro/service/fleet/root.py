@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from repro.obs.logs import get_logger
 from repro.service.aggregator import ProfileAggregator
 from repro.service.delta import WIRE_VERSION
-from repro.service.fleet.ring import DEFAULT_REPLICAS
 
 logger = get_logger(__name__)
 
@@ -46,8 +45,7 @@ class ShardRecord:
 class RootMerger(ProfileAggregator):
     """The fleet's merge point and public face (see module docs)."""
 
-    def __init__(self, listen, *, ring_replicas: int = DEFAULT_REPLICAS, **kwargs) -> None:
-        self.ring_replicas = int(ring_replicas)
+    def __init__(self, listen, **kwargs) -> None:
         self._fleet_lock = threading.Lock()
         self._shards: dict[str, ShardRecord] = {}
         super().__init__(listen, **kwargs)
@@ -155,7 +153,6 @@ class RootMerger(ProfileAggregator):
         return {
             "type": "ring",
             "v": WIRE_VERSION,
-            "replicas": self.ring_replicas,
             "shards": {
                 shard_id: {"address": record.address, "up": record.up}
                 for shard_id, record in sorted(shards.items())

@@ -1,19 +1,28 @@
-"""The worker-side client: ship counter deltas to an aggregator.
+"""The worker-side client: ship counter deltas to an aggregator or a fleet.
 
 A :class:`ProfileShipper` wraps the counter set an instrumented worker is
 already bumping (typically a lock-free
 :class:`~repro.core.counters.ShardedCounterSet`) and periodically flushes
 the *increments since the last flush* as :class:`ProfileDelta`s to the
-aggregation service. Design invariants:
+aggregation service: one aggregator, or the shards of a fleet
+(:mod:`repro.service.fleet`). The paper's §3.2 merge is additive and
+commutative, so splitting a flush by profile-point key is only routing: a
+single aggregator is a ring of one. Each destination has a :class:`Lane`
+— its connection, bounded queue, spill log and sequence numbers. Design
+invariants:
 
 * **The hot path is untouched** — instrumented code keeps incrementing
   its counter set; the shipper only ever *reads* snapshots.
+* **One cut per flush.** A flush takes one snapshot, diffs it against
+  one baseline, and routes each changed key to its shard's lane once
+  (the key's shard is remembered: ring membership never changes).
 * **Profile loss degrades, never crashes.** Every failure (unreachable
-  aggregator, full queue, quarantined delta) routes through the standard
-  :func:`repro.core.policy.degrade` choke point: ``strict`` raises,
-  ``warn``/``ignore`` record the reason and keep the worker serving.
+  aggregator, full queue, failed spill, quarantined delta) routes
+  through the standard :func:`repro.core.policy.degrade` choke point:
+  ``strict`` raises, ``warn``/``ignore`` record the reason and keep the
+  worker serving.
 * **Delivery is at-least-once, counted exactly once.** Undeliverable
-  deltas go to a bounded in-memory queue, overflow to a
+  deltas go to a lane's bounded in-memory queue, overflow to its
   :class:`~repro.service.spill.SpillLog`, and are replayed after
   reconnecting; the aggregator's ledger drops duplicates.
 * **Reconnects back off exponentially, with jitter** — the
@@ -22,6 +31,11 @@ aggregation service. Design invariants:
 * **Every send is a compressed batch frame** — queued deltas, and the
   spill log on replay, go out many deltas to a round trip and one ack,
   in as many frames as the frame-size limit needs.
+* **A restarted shard is re-resolved in place.** When a lane keeps
+  failing, the flush asks the fleet root for its ``ring`` frame and
+  retargets that lane's client. In place matters: a fresh lane would
+  restart sequence numbers at 1 under a new identity while the restarted
+  shard's restored ledger still remembers the old one.
 """
 
 from __future__ import annotations
@@ -30,8 +44,10 @@ import os
 import random
 import socket
 import threading
+import time
 from collections import deque
 from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field
 
 from repro.core.counters import BaseCounterSet
 from repro.core.errors import BackpressureError, DeltaFormatError, ServiceError
@@ -39,12 +55,13 @@ from repro.core.policy import DegradationLog, ProfilePolicy, degrade
 from repro.obs.logs import get_logger
 from repro.profiling.reconstruct import confidence_for_counts
 from repro.service.delta import DeltaBatch, ProfileDelta
+from repro.service.fleet.ring import HashRing
 from repro.service.spill import SpillLog
-from repro.service.transport import FrameClient, ServiceAddress
+from repro.service.transport import FrameClient, ServiceAddress, parse_address, request
 
 logger = get_logger(__name__)
 
-__all__ = ["ProfileShipper"]
+__all__ = ["ProfileShipper", "fetch_ring"]
 
 
 def _default_shipper_id() -> str:
@@ -80,13 +97,56 @@ def _batch_statuses(response: object, count: int) -> list[str]:
     return statuses
 
 
+def fetch_ring(root: "str | ServiceAddress", timeout: float = 5.0) -> dict:
+    """Ask the fleet root merger for the current shard map.
+
+    Returns ``{shard_id: {"address": str, "up": bool}}``; raises
+    :class:`ServiceError` when the root's answer is not a ring frame.
+    """
+    response = request(root, {"type": "ring"}, timeout=timeout)
+    if not isinstance(response, dict) or response.get("type") != "ring":
+        raise ServiceError(f"root sent no ring frame (got {response!r})")
+    shards = response.get("shards")
+    if not isinstance(shards, dict):
+        raise ServiceError("ring frame carries no shard map")
+    return shards
+
+
+@dataclass(eq=False)
+class Lane:
+    """One destination's delivery state.
+
+    ``shard`` is ``None`` for a single aggregator. ``seq`` is the last
+    sequence number cut under ``shipper_id``.
+    """
+
+    shard: str | None
+    shipper_id: str
+    client: FrameClient
+    spill: SpillLog | None
+    queue: deque[ProfileDelta] = field(default_factory=deque)
+    seq: int = 0
+
+
 class ProfileShipper:
     """Flush counter increments to an aggregator as idempotent deltas.
+
+    ``address`` is one aggregator's address, or a ``{shard id: address}``
+    map of a fleet's shards. One address gives one lane shipping under
+    ``shipper_id``, spilling to the file ``spill_path``. A shard map gives
+    one lane per shard, shipping as ``<shipper_id>.<shard>`` and spilling
+    to ``<shard>.spill`` in the directory ``spill_path``; ``root`` is the
+    fleet root merger a failing lane re-resolves its shard through.
+
+    :meth:`flush` returns the delta it cut, or ``None`` if nothing
+    accumulated. With one address that is exactly the delta it queued;
+    with a shard map it is the flush's whole increment under
+    ``shipper_id``, of which each lane ships its own part.
 
     May be driven manually (:meth:`flush` after each unit of work, or
     :meth:`maybe_flush` on the fast path) or as a background daemon
     (:meth:`start` / :meth:`close`) flushing every ``flush_interval``
-    seconds and whenever ``flush_threshold`` new counts have accumulated.
+    seconds.
 
     ``shipper_id`` names one *incarnation* of a worker: sequence numbers
     restart at 1 with every new shipper object, so a restarted worker must
@@ -95,11 +155,17 @@ class ProfileShipper:
     across restarts without any id coordination.
     """
 
+    #: consecutive failures on one lane before a re-resolve is attempted
+    RERESOLVE_AFTER_FAILURES = 2
+    #: minimum seconds between re-resolve attempts
+    RERESOLVE_COOLDOWN = 1.0
+
     def __init__(
         self,
         counters: BaseCounterSet,
-        address: str | ServiceAddress,
+        address: "str | ServiceAddress | Mapping[str, str | ServiceAddress]",
         *,
+        root: "str | ServiceAddress | None" = None,
         dataset: str | None = None,
         fingerprints: Mapping[str, str] | None = None,
         shipper_id: str | None = None,
@@ -117,15 +183,6 @@ class ProfileShipper:
         sample_scale: float | None = None,
     ) -> None:
         self.counters = counters
-        #: the aggregator connection, its backoff and its retry gate
-        self.client = FrameClient(
-            address,
-            timeout=timeout,
-            backoff_base=backoff_base,
-            backoff_max=backoff_max,
-            backoff_jitter=backoff_jitter,
-            rng=rng,
-        )
         self.dataset = dataset if dataset is not None else counters.name
         self.fingerprints = dict(fingerprints) if fingerprints else {}
         self.shipper_id = shipper_id or _default_shipper_id()
@@ -136,7 +193,6 @@ class ProfileShipper:
         self.degradations = (
             degradations if degradations is not None else DegradationLog()
         )
-        self.spill = SpillLog(spill_path) if spill_path is not None else None
         #: when the wrapped counters hold *sampled* data reconstructed at
         #: this scaling factor, every cut delta carries a matching
         #: confidence record so the aggregator can merge error bars.
@@ -147,10 +203,50 @@ class ProfileShipper:
                 f"sample_scale must be >= 1, got {self.sample_scale}"
             )
 
+        def client(destination: "str | ServiceAddress") -> FrameClient:
+            return FrameClient(
+                destination,
+                timeout=timeout,
+                backoff_base=backoff_base,
+                backoff_max=backoff_max,
+                backoff_jitter=backoff_jitter,
+                rng=rng,
+            )
+
+        #: the fleet's hash ring, or ``None`` for a single aggregator
+        self.ring: HashRing | None = None
+        #: shard id -> its lane (empty for a single aggregator)
+        self._shard_lanes: dict[str, Lane] = {}
+        self.lanes: tuple[Lane, ...]
+        if isinstance(address, Mapping):
+            if not address:
+                raise ServiceError("a shard map needs at least one shard")
+            if spill_path is not None:
+                os.makedirs(spill_path, exist_ok=True)
+            self.ring = HashRing(address)
+            for shard in sorted(address):
+                spill = None
+                if spill_path is not None:
+                    spill = SpillLog(os.path.join(spill_path, f"{shard}.spill"))
+                self._shard_lanes[shard] = Lane(
+                    shard, f"{self.shipper_id}.{shard}", client(address[shard]), spill
+                )
+            self.lanes = tuple(self._shard_lanes.values())
+        else:
+            if root is not None:
+                raise ServiceError("root= re-resolves shards; it needs a shard map")
+            spill = None if spill_path is None else SpillLog(spill_path)
+            self.lanes = (Lane(None, self.shipper_id, client(address), spill),)
+        self.root = parse_address(root) if root is not None else None
+
         self._lock = threading.RLock()
+        #: the last sequence number of a whole cut under ``shipper_id``
+        #: (a shard map's lanes number their parts themselves)
         self._seq = 0
         self._baseline: dict[str, int] = {}
-        self._queue: deque[ProfileDelta] = deque()
+        #: point key -> its shard's lane, filled as keys first change
+        self._routes: dict[str, Lane] = {}
+        self._last_reresolve = 0.0
         self._thread: threading.Thread | None = None
         self._stop = threading.Event()
 
@@ -163,11 +259,6 @@ class ProfileShipper:
         self.spilled_deltas = 0
         self.replayed_deltas = 0
         self.dropped_deltas = 0
-
-    @property
-    def address(self) -> ServiceAddress:
-        """The aggregator's address (``client.retarget`` moves it)."""
-        return self.client.address
 
     # -- delta construction ------------------------------------------------
 
@@ -199,6 +290,46 @@ class ProfileShipper:
         self._baseline = now
         return increments
 
+    def _delta(self, shipper: str, seq: int, counts: dict[str, int]) -> ProfileDelta:
+        confidence = None
+        if self.sample_scale is not None:
+            confidence = confidence_for_counts(counts, self.sample_scale)
+        return ProfileDelta(
+            shipper=shipper,
+            seq=seq,
+            dataset=self.dataset,
+            counts=counts,
+            fingerprints=self.fingerprints,
+            confidence=confidence,
+        )
+
+    def _split(self, increments: dict[str, int]) -> dict[Lane, dict[str, int]]:
+        """Each lane's part of a flush's increments."""
+        if self.ring is None or len(self.lanes) == 1:
+            return {self.lanes[0]: increments}  # a ring of one routes nothing
+        parts: dict[Lane, dict[str, int]] = {}
+        for key, count in increments.items():
+            lane = self._routes.get(key)
+            if lane is None:
+                lane = self._routes[key] = self._shard_lanes[self.ring.route(key)]
+            part = parts.get(lane)
+            if part is None:
+                part = parts[lane] = {}
+            part[key] = count
+        return parts
+
+    def _cut(self, increments: dict[str, int]) -> ProfileDelta:
+        """Queue each lane's part of ``increments`` as its next delta;
+        returns the one delta of a single aggregator, else the whole."""
+        for lane, counts in self._split(increments).items():
+            lane.seq += 1
+            delta = self._delta(lane.shipper_id, lane.seq, counts)
+            self._enqueue(lane, delta)
+        if self.ring is not None:
+            self._seq += 1
+            delta = self._delta(self.shipper_id, self._seq, increments)
+        return delta
+
     def pending_counts(self) -> int:
         """How many counts have accumulated since the last flush."""
         with self._lock:
@@ -211,24 +342,8 @@ class ProfileShipper:
         nothing accumulated)."""
         with self._lock:
             increments = self._diff_since_baseline()
-            delta = None
-            if increments:
-                self._seq += 1
-                confidence = None
-                if self.sample_scale is not None:
-                    confidence = confidence_for_counts(
-                        increments, self.sample_scale
-                    )
-                delta = ProfileDelta(
-                    shipper=self.shipper_id,
-                    seq=self._seq,
-                    dataset=self.dataset,
-                    counts=increments,
-                    fingerprints=self.fingerprints,
-                    confidence=confidence,
-                )
-                self._enqueue(delta)
-            self._drain()
+            delta = self._cut(increments) if increments else None
+            self._deliver()
             return delta
 
     def maybe_flush(self) -> ProfileDelta | None:
@@ -236,63 +351,61 @@ class ProfileShipper:
         if self.pending_counts() >= self.flush_threshold:
             return self.flush()
         with self._lock:
-            self._drain()
+            self._deliver()
         return None
 
     # -- queueing and backpressure ----------------------------------------
 
-    def _enqueue(self, delta: ProfileDelta) -> None:
-        self._queue.append(delta)
-        while len(self._queue) > self.max_pending:
-            overflow = self._queue.popleft()
-            if self.spill is not None:
+    def _enqueue(self, lane: Lane, delta: ProfileDelta) -> None:
+        lane.queue.append(delta)
+        while len(lane.queue) > self.max_pending:
+            self._spill(
+                lane,
+                [lane.queue.popleft()],
+                f"delta queue overflowed ({self.max_pending} pending)",
+            )
+
+    def _spill(self, lane: Lane, deltas: list[ProfileDelta], why: str) -> None:
+        """Append undeliverable deltas to the lane's spill log; what cannot
+        be spilled is dropped through :func:`degrade`."""
+        lost = []
+        cause = "no spill path configured"
+        for delta in deltas:
+            if lane.spill is not None:
                 try:
-                    self.spill.append(overflow.to_json_object())
+                    lane.spill.append(delta.to_json_object())
                     self.spilled_deltas += 1
                     continue
                 except OSError as exc:
-                    degrade(
-                        "ship",
-                        f"spill to {self.spill.path} failed: {exc}",
-                        f"dropping delta seq={overflow.seq} "
-                        f"({overflow.total()} counts)",
-                        error=BackpressureError(
-                            f"delta queue overflowed ({self.max_pending}) and "
-                            f"spilling failed: {exc}"
-                        ),
-                        policy=self.policy,
-                        log=self.degradations,
-                    )
-            else:
-                degrade(
-                    "ship",
-                    f"delta queue overflowed ({self.max_pending} pending, "
-                    f"no spill path configured)",
-                    f"dropping oldest delta seq={overflow.seq} "
-                    f"({overflow.total()} counts)",
-                    error=BackpressureError(
-                        f"delta queue overflowed ({self.max_pending} pending) "
-                        "and no spill path is configured"
-                    ),
-                    policy=self.policy,
-                    log=self.degradations,
-                )
-            self.dropped_deltas += 1
-
-    # -- delivery ----------------------------------------------------------
-
-    def _note_failure(self, reason: str) -> None:
-        delay = self.client.back_off()
+                    cause = f"spill to {lane.spill.path} failed: {exc}"
+            lost.append(delta)
+        if not lost:
+            return
+        self.dropped_deltas += len(lost)
         degrade(
             "ship",
-            f"aggregator {self.address} unreachable: {reason}",
-            f"buffering deltas; retrying in {delay:.2f}s "
-            f"(attempt {self.client.failures})",
+            f"{why}; {cause}",
+            f"dropping {len(lost)} delta(s) from seq={lost[0].seq} "
+            f"({sum(delta.total() for delta in lost)} counts)",
+            error=BackpressureError(f"{why} and {cause}"),
             policy=self.policy,
             log=self.degradations,
         )
 
-    def _send(self, deltas: list[ProfileDelta], replayed: bool) -> int:
+    # -- delivery ----------------------------------------------------------
+
+    def _note_failure(self, lane: Lane, reason: str) -> None:
+        delay = lane.client.back_off()
+        degrade(
+            "ship",
+            f"aggregator {lane.client.address} unreachable: {reason}",
+            f"buffering deltas; retrying in {delay:.2f}s "
+            f"(attempt {lane.client.failures})",
+            policy=self.policy,
+            log=self.degradations,
+        )
+
+    def _send(self, lane: Lane, deltas: list[ProfileDelta], replayed: bool) -> int:
         """Send ``deltas`` as batch frames and account each one's status.
 
         Returns how many of them, from the front, were acked. After a
@@ -302,13 +415,13 @@ class ProfileShipper:
         """
         acked = 0
         try:
-            for run, response in self.client.request_batches(deltas, _batch_frame):
+            for run, response in lane.client.request_batches(deltas, _batch_frame):
                 statuses = _batch_statuses(response, len(run))
                 for delta, status in zip(run, statuses):
                     self._account(status, delta, replayed)
                 acked += len(run)
         except (OSError, ServiceError) as exc:
-            self._note_failure(str(exc))
+            self._note_failure(lane, str(exc))
         return acked
 
     def _account(self, status: str, delta: ProfileDelta, replayed: bool) -> None:
@@ -339,20 +452,20 @@ class ProfileShipper:
                 log=self.degradations,
             )
 
-    def _replay_spill(self) -> bool:
+    def _replay_spill(self, lane: Lane) -> bool:
         """Deliver every spilled delta; returns True when the spill is clear.
 
         The log is cleared only after every batch is acked, so a failed
         replay leaves it whole and the next one resends it all; the
         aggregator's ledger acks the already-applied part as duplicates.
         """
-        if self.spill is None:
+        if lane.spill is None:
             return True
-        frames, torn = self.spill.replay()
+        frames, torn = lane.spill.replay()
         if torn:
             degrade(
                 "ship",
-                f"spill log {self.spill.path} has a torn tail",
+                f"spill log {lane.spill.path} has a torn tail",
                 f"recovered {len(frames)} complete delta(s); the torn tail "
                 "is lost",
                 policy=self.policy,
@@ -366,26 +479,89 @@ class ProfileShipper:
                 # One bad frame must not poison the batch around it.
                 degrade(
                     "ship",
-                    f"spill log {self.spill.path} held a corrupt frame: {exc}",
+                    f"spill log {lane.spill.path} held a corrupt frame: {exc}",
                     "discarding that frame",
                     policy=self.policy,
                     log=self.degradations,
                 )
-        if self._send(deltas, replayed=True) < len(deltas):
+        if self._send(lane, deltas, replayed=True) < len(deltas):
             return False
-        self.spill.clear()
+        lane.spill.clear()
         return True
 
-    def _drain(self) -> None:
-        """Push spilled then queued deltas to the aggregator (best effort)."""
-        if not self._queue and (self.spill is None or not self.spill.size_bytes()):
+    def _drain(self, lane: Lane) -> None:
+        """Push the lane's spilled then queued deltas (best effort)."""
+        if not lane.queue and (lane.spill is None or not lane.spill.size_bytes()):
             return
-        if not self.client.ready():
+        if not lane.client.ready():
             return
-        if not self._replay_spill():
+        if not self._replay_spill(lane):
             return
-        for _ in range(self._send(list(self._queue), replayed=False)):
-            self._queue.popleft()
+        for _ in range(self._send(lane, list(lane.queue), replayed=False)):
+            lane.queue.popleft()
+
+    def _deliver(self) -> None:
+        self._maybe_reresolve()
+        for lane in self.lanes:
+            self._drain(lane)
+
+    # -- failover ----------------------------------------------------------
+
+    def _maybe_reresolve(self) -> None:
+        """Re-resolve shard addresses when a lane looks down (rate-limited)."""
+        if self.root is None:
+            return
+        # The client's own backoff counter keeps failover reactive without
+        # a second health probe.
+        if not any(
+            lane.client.failures >= self.RERESOLVE_AFTER_FAILURES
+            for lane in self.lanes
+        ):
+            return
+        now = time.monotonic()
+        if now - self._last_reresolve < self.RERESOLVE_COOLDOWN:
+            return
+        self._last_reresolve = now
+        try:
+            self.re_resolve()
+        except (OSError, ServiceError) as exc:
+            degrade(
+                "ship",
+                f"ring re-resolve via root {self.root} failed: {exc}",
+                "keeping the current shard addresses",
+                policy=self.policy,
+                log=self.degradations,
+            )
+
+    def re_resolve(self) -> list[str]:
+        """Refresh shard addresses from the root's ring frame.
+
+        Retargets each changed lane's client **in place** (see the module
+        docs for why a new lane would break dedup), which also drops its
+        connection and backoff. Returns the shard ids whose address
+        changed.
+        """
+        if self.root is None:
+            raise ServiceError("no root address configured for re-resolve")
+        shards = fetch_ring(self.root)
+        changed = []
+        with self._lock:
+            for shard, lane in self._shard_lanes.items():
+                info = shards.get(shard)
+                if not isinstance(info, dict):
+                    continue
+                address = info.get("address")
+                if not isinstance(address, str):
+                    continue
+                parsed = parse_address(address)
+                if parsed != lane.client.address:
+                    lane.client.retarget(parsed)
+                    changed.append(shard)
+                    logger.info(
+                        "shipper %s re-resolved shard %s to %s",
+                        self.shipper_id, shard, parsed,
+                    )
+        return changed
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -401,7 +577,7 @@ class ProfileShipper:
             self._thread.start()
         logger.info(
             "shipper %s started (flush every %.1fs -> %s)",
-            self.shipper_id, self.flush_interval, self.address,
+            self.shipper_id, self.flush_interval, self._destinations(),
         )
         return self
 
@@ -419,27 +595,14 @@ class ProfileShipper:
             try:
                 self.flush()
             finally:
-                if self._queue and self.spill is not None:
-                    while self._queue:
-                        delta = self._queue.popleft()
-                        try:
-                            self.spill.append(delta.to_json_object())
-                            self.spilled_deltas += 1
-                        except OSError:
-                            self.dropped_deltas += 1
-                elif self._queue:
-                    undelivered = len(self._queue)
-                    self._queue.clear()
-                    self.dropped_deltas += undelivered
-                    degrade(
-                        "ship",
-                        f"{undelivered} delta(s) undelivered at close "
-                        "(no spill path configured)",
-                        "profile data for those deltas is lost",
-                        policy=self.policy,
-                        log=self.degradations,
-                    )
-                self.client.close()
+                try:
+                    for lane in self.lanes:
+                        undelivered = list(lane.queue)
+                        lane.queue.clear()
+                        self._spill(lane, undelivered, "delta(s) undelivered at close")
+                finally:
+                    for lane in self.lanes:
+                        lane.client.close()
         logger.info(
             "shipper %s closed (shipped=%d spilled=%d dropped=%d)",
             self.shipper_id, self.shipped_deltas, self.spilled_deltas,
@@ -452,8 +615,11 @@ class ProfileShipper:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
+    def _destinations(self) -> str:
+        return ", ".join(str(lane.client.address) for lane in self.lanes)
+
     def __repr__(self) -> str:
         return (
-            f"<ProfileShipper {self.shipper_id!r} -> {self.address} "
-            f"seq={self._seq} queued={len(self._queue)}>"
+            f"<ProfileShipper {self.shipper_id!r} -> {self._destinations()} "
+            f"queued={sum(len(lane.queue) for lane in self.lanes)}>"
         )

@@ -1178,7 +1178,7 @@ def _run_ship(args: argparse.Namespace) -> int:
     from repro.core.counters import CounterSet, ShardedCounterSet
     from repro.core.database import source_fingerprint
     from repro.profiling.sampler import RunSampler
-    from repro.service import ProfileShipper
+    from repro.service import ProfileShipper, parse_address
 
     source = _read_program(args.file)
     system = SchemeSystem(policy=args.profile_policy)
@@ -1197,39 +1197,30 @@ def _run_ship(args: argparse.Namespace) -> int:
     if args.fleet:
         # --connect names the fleet *root*; shard addresses come from
         # its ring frame and the deltas go straight to the shards.
-        from repro.service.fleet import FleetShipper, fetch_ring
+        from repro.service.shipper import fetch_ring
 
-        shards = {
+        address: str | dict[str, str] = {
             shard_id: info["address"]
             for shard_id, info in fetch_ring(args.connect).items()
             if isinstance(info, dict) and isinstance(info.get("address"), str)
         }
-        shipper = FleetShipper(
-            counters,
-            shards,
-            root=args.connect,
-            dataset=dataset,
-            fingerprints=fingerprints,
-            shipper_id=args.shipper_id,
-            spill_dir=args.spill,
-            policy=args.profile_policy,
-            timeout=args.timeout,
-            sample_scale=sample_scale,
-        )
-        destination = f"{len(shards)} shard(s) via root {args.connect}"
+        root = args.connect
+        destination = f"{len(address)} shard(s) via root {args.connect}"
     else:
-        shipper = ProfileShipper(
-            counters,
-            args.connect,
-            dataset=dataset,
-            fingerprints=fingerprints,
-            shipper_id=args.shipper_id,
-            spill_path=args.spill,
-            policy=args.profile_policy,
-            timeout=args.timeout,
-            sample_scale=sample_scale,
-        )
-        destination = str(shipper.address)
+        address, root = args.connect, None
+        destination = str(parse_address(args.connect))
+    shipper = ProfileShipper(
+        counters,
+        address,
+        root=root,
+        dataset=dataset,
+        fingerprints=fingerprints,
+        shipper_id=args.shipper_id,
+        spill_path=args.spill,
+        policy=args.profile_policy,
+        timeout=args.timeout,
+        sample_scale=sample_scale,
+    )
     program = system.compile(source, args.file)
     mode = _mode(args.mode)
     try:

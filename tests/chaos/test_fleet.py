@@ -14,7 +14,8 @@ from repro.core.counters import CounterSet
 from repro.core.policy import ProfilePolicy
 from repro.core.profile_point import ProfilePoint
 from repro.core.srcloc import SourceLocation
-from repro.service.fleet import FleetShipper, FleetSupervisor
+from repro.service import ProfileShipper
+from repro.service.fleet import FleetSupervisor
 
 POINTS = [
     ProfilePoint.for_location(SourceLocation("c.ss", n, n + 1))
@@ -56,12 +57,12 @@ def test_kill_one_shard_loses_zero_counts(tmp_path):
         3, tmp_path / "fleet", in_process=True, checkpoint_interval=60.0
     ) as fleet:
         counters = CounterSet(name="ds")
-        shipper = FleetShipper(
+        shipper = ProfileShipper(
             counters,
             fleet.shard_addresses(),
             root=fleet.root.address,
             policy=ProfilePolicy.IGNORE,
-            spill_dir=tmp_path / "spill",
+            spill_path=tmp_path / "spill",
             backoff_base=0.05,
         )
         expected = _pump(counters, by=5)
@@ -81,11 +82,11 @@ def test_kill_one_shard_loses_zero_counts(tmp_path):
         fleet.restart_shard("1")
         assert shipper.re_resolve() == ["1"], "new address picked up"
 
-        # Drain the buffered slice (cut deltas sit in the per-shard
-        # queues, not in pending_counts) and let every shard uplink.
+        # Drain the buffered slice (cut deltas sit in the shard's lane
+        # queue, not in pending_counts) and let every shard uplink.
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline and any(
-            sub._queue for sub in shipper.shippers.values()
+            lane.queue for lane in shipper.lanes
         ):
             shipper.flush()
             time.sleep(0.05)
@@ -103,7 +104,7 @@ def test_killed_shard_resends_are_deduplicated(tmp_path):
         2, tmp_path / "fleet", in_process=True, checkpoint_interval=60.0
     ) as fleet:
         counters = CounterSet(name="ds")
-        shipper = FleetShipper(
+        shipper = ProfileShipper(
             counters, fleet.shard_addresses(), root=fleet.root.address
         )
         expected = _pump(counters, by=7)
@@ -135,7 +136,7 @@ def test_subprocess_shard_kill_and_monitor_restart(tmp_path):
     ) as fleet:
         assert fleet.wait_all_up(timeout=30.0)
         counters = CounterSet(name="ds")
-        shipper = FleetShipper(
+        shipper = ProfileShipper(
             counters,
             fleet.shard_addresses(),
             root=fleet.root.address,

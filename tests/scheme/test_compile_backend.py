@@ -297,6 +297,30 @@ def test_literal_operands_of_is_compile_without_warning(source):
     assert charged["compile"] == charged["interp"]
 
 
+NON_FINITE = """
+(define-syntax (nan-literal x)
+  (syntax-case x () [(_) (datum->syntax x (- 1e400 1e400))]))
+(define (f) 1e400)
+(define (body) (list (f) (- 0 1e400) -1e400 '(1e400 #(-1e400)) (nan-literal)))
+(list (body) (eq? (f) (f)))
+"""
+
+
+def test_non_finite_float_constants_compile():
+    """``repr(1e400)`` is the unbound name ``inf``: a non-finite constant
+    must compile to an expression for the same float, built once per
+    node so that it stays ``eq?`` to itself, as in the interpreter."""
+    from repro.analysis.verify import verify_program
+
+    observations = {b: _observe(b, NON_FINITE) for b in BACKENDS}
+    assert observations["interp"] == (
+        "ok", "((inf -inf -inf (inf #(-inf)) nan) #t)", ""
+    )
+    assert observations["compile"] == observations["interp"]
+    program = SchemeSystem(backend="compile").compile(NON_FINITE, "<non-finite>")
+    assert not verify_program(program, "<non-finite>").diagnostics
+
+
 def test_case_study_library_parity():
     from repro.casestudies import CASE_LIBRARY, EXCLUSIVE_COND_LIBRARY
 

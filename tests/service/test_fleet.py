@@ -1,26 +1,28 @@
 """The sharded fleet: WAL durability, shard uplink, root merge, slices."""
 
+import socket
+import sys
 import threading
 import time
 
 import pytest
 
 import repro.service.delta as wire
-from repro.core.counters import CounterSet
-from repro.core.errors import ServiceError
+from repro.core.counters import CounterSet, ShardedCounterSet
+from repro.core.policy import ProfilePolicy
 from repro.core.profile_point import ProfilePoint
 from repro.core.srcloc import SourceLocation
 from repro.service.delta import ProfileDelta
+from repro.service import ProfileShipper
 from repro.service.fleet import (
-    FleetShipper,
     FleetSupervisor,
     HashRing,
     RootMerger,
     ShardAggregator,
     WriteAheadLog,
-    fetch_ring,
 )
-from repro.service.fleet.shipper import _ShardSlice
+from repro.service.shipper import fetch_ring
+from repro.service.spill import SpillLog
 
 POINTS = [
     ProfilePoint.for_location(SourceLocation("w.ss", n, n + 1)) for n in range(8)
@@ -308,25 +310,42 @@ def test_fetch_ring_over_the_wire(root):
     assert shards == {"0": {"address": "127.0.0.1:1111", "up": True}}
 
 
-# -- fleet shipper ---------------------------------------------------------
+# -- shard-map shipper -----------------------------------------------------
+
+
+def _dead_address() -> str:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return f"127.0.0.1:{probe.getsockname()[1]}"
 
 
 def test_shard_slices_partition_the_counter_set_exactly():
+    """One flush's increments split over the lanes: the parts are
+    disjoint, cover every increment, and each key sits on the shard the
+    ring routes it to."""
     counters = CounterSet(name="ds")
     for n, point in enumerate(POINTS):
         counters.increment(point, by=n + 1)
-    ring = HashRing(["0", "1", "2"])
-    slices = [_ShardSlice(counters, ring, member) for member in ("0", "1", "2")]
-    merged = {}
-    for shard_slice in slices:
-        snap = shard_slice.snapshot()
-        assert not set(merged) & set(snap), "slices must be disjoint"
-        merged.update(snap)
-    assert merged == counters.snapshot()
-    with pytest.raises(ServiceError):
-        slices[0].increment(POINTS[0])
-    with pytest.raises(ServiceError):
-        slices[0].clear()
+    shards = {member: _dead_address() for member in ("0", "1", "2")}
+    shipper = ProfileShipper(
+        counters,
+        shards,
+        shipper_id="w",
+        policy=ProfilePolicy.IGNORE,
+        backoff_base=30.0,
+    )
+    whole = shipper.flush()
+    assert whole is not None and whole.shipper == "w"
+    ring = HashRing(shards)
+    merged: dict[str, int] = {}
+    for lane in shipper.lanes:
+        for delta in lane.queue:
+            assert delta.shipper == f"w.{lane.shard}"
+            assert not set(merged) & set(delta.counts), "parts must be disjoint"
+            assert all(ring.route(key) == lane.shard for key in delta.counts)
+            merged.update(delta.counts)
+    assert sum(1 for lane in shipper.lanes if lane.queue) > 1
+    assert merged == counters.as_key_mapping() == dict(whole.counts)
 
 
 def test_fleet_shipper_ships_everything_once(tmp_path, root):
@@ -342,14 +361,14 @@ def test_fleet_shipper_ships_everything_once(tmp_path, root):
         for n, point in enumerate(POINTS):
             counters.increment(point, by=n + 1)
             total += n + 1
-        fleet = FleetShipper(
+        fleet = ProfileShipper(
             counters,
             {shard_id: str(s.address) for shard_id, s in shards.items()},
             shipper_id="worker",
         )
-        deltas = fleet.flush()
+        delta = fleet.flush()
         assert fleet.shipped_counts == total
-        assert sum(d.total() for d in deltas) == total
+        assert delta is not None and delta.total() == total
         fleet.close()
         shard_total = sum(s.total_counts() for s in shards.values())
         assert shard_total == total
@@ -361,14 +380,61 @@ def test_fleet_shipper_ships_everything_once(tmp_path, root):
             shard.stop(checkpoint=False)
 
 
+def test_shard_lanes_spill_per_shard_and_replay(tmp_path, root):
+    """Each lane spills to ``<shard>.spill`` under its ``<id>.<shard>``
+    identity, and a spill log already on disk replays to its shard."""
+    spill_dir = tmp_path / "spill"
+    spill_dir.mkdir()
+    SpillLog(spill_dir / "0.spill").append(
+        ProfileDelta(
+            shipper="earlier.0", seq=1, dataset="ds", counts={POINTS[0].key(): 5}
+        ).to_json_object()
+    )
+    counters = CounterSet(name="ds")
+    for point in POINTS:
+        counters.increment(point, by=2)
+    shards = {"0": _dead_address(), "1": _dead_address()}
+    down = ProfileShipper(
+        counters,
+        shards,
+        shipper_id="w",
+        spill_path=spill_dir,
+        policy=ProfilePolicy.IGNORE,
+        backoff_base=30.0,
+    )
+    down.flush()
+    down.close()
+    assert sorted(path.name for path in spill_dir.iterdir()) == ["0.spill", "1.spill"]
+    frames = {
+        shard: SpillLog(spill_dir / f"{shard}.spill").replay()[0] for shard in shards
+    }
+    assert [frame["shipper"] for frame in frames["0"]] == ["earlier.0", "w.0"]
+    assert [frame["shipper"] for frame in frames["1"]] == ["w.1"]
+
+    live = {shard_id: _shard(tmp_path, root, shard_id=shard_id).start() for shard_id in shards}
+    try:
+        up = ProfileShipper(
+            CounterSet(name="ds"),
+            {shard_id: str(shard.address) for shard_id, shard in live.items()},
+            spill_path=spill_dir,
+        )
+        up.flush()
+        up.close()
+        assert sum(shard.total_counts() for shard in live.values()) == 5 + 2 * len(POINTS)
+        assert up.replayed_deltas == 3
+    finally:
+        for shard in live.values():
+            shard.stop(checkpoint=False)
+
+
 def test_fleet_shipper_reresolves_in_place(tmp_path, root):
     shard = _shard(tmp_path, root).start()
     root.note_shard("0", str(shard.address))
     counters = CounterSet(name="ds")
-    fleet = FleetShipper(
+    fleet = ProfileShipper(
         counters, {"0": str(shard.address)}, root=root.address
     )
-    original = fleet.shippers["0"]
+    lane = fleet.lanes[0]
     counters.increment(POINTS[0], by=4)
     fleet.flush()
     assert fleet.shipped_counts == 4
@@ -380,8 +446,8 @@ def test_fleet_shipper_reresolves_in_place(tmp_path, root):
         root.note_shard("0", str(revived.address))
         changed = fleet.re_resolve()
         assert changed == ["0"]
-        assert fleet.shippers["0"] is original, "same shipper object"
-        assert fleet.shippers["0"].address == revived.address
+        assert fleet.lanes[0] is lane, "same lane object"
+        assert lane.client.address == revived.address
         counters.increment(POINTS[0], by=2)
         fleet.flush()
         assert fleet.shipped_counts == 6
@@ -389,6 +455,80 @@ def test_fleet_shipper_reresolves_in_place(tmp_path, root):
         fleet.close()
     finally:
         revived.stop(checkpoint=False)
+
+
+def test_started_shipper_follows_a_restarted_shard(tmp_path, root):
+    """The background flush re-resolves too: a shard that restarts on a
+    new port gets every later count without a flush by hand."""
+    shard = _shard(tmp_path, root).start()
+    root.note_shard("0", str(shard.address))
+    counters = CounterSet(name="ds")
+    shipper = ProfileShipper(
+        counters,
+        {"0": str(shard.address)},
+        root=root.address,
+        flush_interval=0.05,
+        policy=ProfilePolicy.IGNORE,
+    ).start()
+    revived = None
+    try:
+        counters.increment(POINTS[0], by=3)
+        assert _wait_for(lambda: shard.total_counts() == 3)
+        shard.stop(checkpoint=False)
+        revived = _shard(tmp_path, root).start()
+        root.note_shard("0", str(revived.address))
+        counters.increment(POINTS[1], by=4)
+        assert _wait_for(lambda: revived.total_counts() == 7), (
+            f"restarted shard holds {revived.total_counts()} of 7"
+        )
+    finally:
+        shipper.close()
+        (revived or shard).stop(checkpoint=False)
+
+
+def test_concurrent_flushes_ship_every_count_once(tmp_path, root):
+    """The flush thread and hand flushes from many workers share one cut
+    and the lanes: no count is lost or shipped twice."""
+    shards = {
+        shard_id: _shard(tmp_path, root, shard_id=shard_id).start()
+        for shard_id in ("0", "1")
+    }
+    counters = ShardedCounterSet(name="ds")
+    shipper = ProfileShipper(
+        counters,
+        {shard_id: str(shard.address) for shard_id, shard in shards.items()},
+        flush_interval=0.001,
+    ).start()
+
+    def work():
+        for n in range(200):
+            counters.increment(POINTS[n % len(POINTS)])
+            if n % 20 == 0:
+                shipper.flush()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=work) for _ in range(8)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30.0)
+        assert not any(worker.is_alive() for worker in workers)
+    finally:
+        sys.setswitchinterval(interval)
+        shipper.close()
+        for shard in shards.values():
+            shard.stop(checkpoint=False)
+    assert shipper.shipped_counts == 8 * 200
+    assert sum(shard.total_counts() for shard in shards.values()) == 8 * 200
+
+
+def _wait_for(condition, timeout: float = 5.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return condition()
 
 
 # -- supervisor (in-process mode) ------------------------------------------
@@ -402,7 +542,7 @@ def test_supervisor_runs_a_fleet_in_process(tmp_path):
         counters = CounterSet(name="ds")
         for n, point in enumerate(POINTS):
             counters.increment(point, by=n + 1)
-        shipper = FleetShipper(
+        shipper = ProfileShipper(
             counters, addresses, root=fleet.root.address
         )
         shipper.flush()
@@ -425,7 +565,7 @@ def test_supervisor_restart_preserves_shard_state(tmp_path):
         counters = CounterSet(name="ds")
         for point in POINTS:
             counters.increment(point, by=3)
-        shipper = FleetShipper(counters, addresses, root=fleet.root.address)
+        shipper = ProfileShipper(counters, addresses, root=fleet.root.address)
         shipper.flush()
         before = {
             shard_id: slot.aggregator.total_counts()

@@ -9,7 +9,7 @@ import pytest
 
 import repro.service.delta as wire
 from repro.core.counters import CounterSet, ShardedCounterSet
-from repro.core.errors import BackpressureError, DeltaFormatError
+from repro.core.errors import BackpressureError, DeltaFormatError, ProfileError
 from repro.core.policy import ProfilePolicy
 from repro.core.profile_point import ProfilePoint
 from repro.core.srcloc import SourceLocation
@@ -87,8 +87,8 @@ def test_unreachable_aggregator_buffers_and_backs_off():
     counters.increment(POINTS[0], by=3)
     assert shipper.flush() is not None
     assert shipper.shipped_deltas == 0
-    assert len(shipper._queue) == 1
-    assert shipper.client.retry_at > time.monotonic()
+    assert len(shipper.lanes[0].queue) == 1
+    assert shipper.lanes[0].client.retry_at > time.monotonic()
     degr = shipper.degradations.entries()
     assert any("unreachable" in entry.reason for entry in degr)
 
@@ -105,11 +105,11 @@ def test_backoff_schedule_is_exponential_and_capped():
     )
     delays = []
     for _ in range(4):
-        shipper.client.retry_at = 0.0  # reopen the gate for the next attempt
+        shipper.lanes[0].client.retry_at = 0.0  # reopen the gate for the next attempt
         before = time.monotonic()
         counters.increment(POINTS[0])
         shipper.flush()
-        delays.append(shipper.client.retry_at - before)
+        delays.append(shipper.lanes[0].client.retry_at - before)
     assert delays[0] == pytest.approx(0.05, abs=0.03)
     assert delays[1] == pytest.approx(0.10, abs=0.03)
     assert delays[2] == pytest.approx(0.20, abs=0.03)
@@ -134,11 +134,11 @@ def test_backoff_jitter_decorrelates_retries():
         )
         out = []
         for _ in range(4):
-            shipper.client.retry_at = 0.0
+            shipper.lanes[0].client.retry_at = 0.0
             before = time.monotonic()
             counters.increment(POINTS[0])
             shipper.flush()
-            out.append(shipper.client.retry_at - before)
+            out.append(shipper.lanes[0].client.retry_at - before)
         return out
 
     a = delays_for(random.Random(1))
@@ -169,10 +169,10 @@ def test_queue_overflow_without_spill_drops_oldest():
     for _ in range(4):
         counters.increment(POINTS[0])
         shipper.flush()
-    assert len(shipper._queue) == 2
+    assert len(shipper.lanes[0].queue) == 2
     assert shipper.dropped_deltas == 2
     # The queue holds the *newest* deltas; the oldest were sacrificed.
-    assert [delta.seq for delta in shipper._queue] == [3, 4]
+    assert [delta.seq for delta in shipper.lanes[0].queue] == [3, 4]
 
 
 def test_queue_overflow_under_strict_raises_backpressure():
@@ -194,6 +194,7 @@ def test_queue_overflow_under_strict_raises_backpressure():
     counters.increment(POINTS[0])
     with pytest.raises(BackpressureError):
         shipper.flush()
+    assert shipper.dropped_deltas == 1, "the lost delta is still counted"
 
 
 def test_queue_overflow_spills_to_disk_and_replays(tmp_path):
@@ -217,7 +218,7 @@ def test_queue_overflow_spills_to_disk_and_replays(tmp_path):
 
     # The aggregator comes up on the address the shipper was aiming at.
     with ProfileAggregator(dead) as aggregator:
-        shipper.client.retry_at = 0.0
+        shipper.lanes[0].client.retry_at = 0.0
         shipper.flush()
         shipper.close()
         assert aggregator.total_counts() == 3, "spilled + queued all arrive"
@@ -335,7 +336,7 @@ def test_a_backlog_past_the_frame_limit_drains_exactly_once(
             return handle(frame, **kwargs)
 
         monkeypatch.setattr(aggregator, "handle_frame", recording)
-        shipper.client.retarget(aggregator.address)
+        shipper.lanes[0].client.retarget(aggregator.address)
         shipper.flush()
         assert aggregator.total_counts() == 200, "each count exactly once"
         assert shipper.shipped_deltas == 20
@@ -422,3 +423,40 @@ def test_background_thread_flushes_periodically(aggregator):
         assert aggregator.total_counts() == 6
     finally:
         shipper.close()
+
+
+def _unspillable_shipper(tmp_path, policy):
+    """A shipper to a dead aggregator whose spill path cannot be created."""
+    counters = CounterSet(name="ds")
+    shipper = ProfileShipper(
+        counters,
+        _dead_address(),
+        policy=policy,
+        spill_path=tmp_path / "missing" / "spill.bin",
+        backoff_base=30.0,
+    )
+    counters.increment(POINTS[0], by=5)
+    return shipper
+
+
+def test_close_records_a_delta_it_could_not_spill(tmp_path):
+    shipper = _unspillable_shipper(tmp_path, ProfilePolicy.WARN)
+    shipper.flush()
+    shipper.close()
+    assert shipper.dropped_deltas == 1
+    assert any(
+        "undelivered at close" in entry.reason and "spill to" in entry.reason
+        for entry in shipper.degradations.entries()
+    ), [entry.reason for entry in shipper.degradations.entries()]
+
+
+def test_close_under_strict_raises_on_a_failed_spill(tmp_path, monkeypatch):
+    shipper = _unspillable_shipper(tmp_path, ProfilePolicy.STRICT)
+    with pytest.raises(ProfileError):
+        shipper.flush()  # strict surfaces the unreachable aggregator
+    closed = []
+    monkeypatch.setattr(FrameClient, "close", lambda self: closed.append(self))
+    with pytest.raises(BackpressureError, match="undelivered at close"):
+        shipper.close()
+    assert shipper.dropped_deltas == 1
+    assert closed == [shipper.lanes[0].client], "the client closes anyway"

@@ -153,8 +153,9 @@ def test_v2_shipper_negotiates_batches_over_the_wire():
                 _delta(n + 1, n + 1, shipper=shipper.shipper_id)
                 for n in range(5)
             ]
-            shipper._queue.extend(deltas)
-            shipper._seq = 5
+            lane = shipper.lanes[0]
+            lane.queue.extend(deltas)
+            lane.seq = 5
             shipper.flush()
             assert shipper.shipped_deltas == 5
         assert aggregator.total_counts() == 15
