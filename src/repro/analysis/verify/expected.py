@@ -1,7 +1,7 @@
 """Re-derive the interpreter-order instrumentation events of a program.
 
 The compiled backend's contract pins *where* budget charges (``C()``) and
-profile bumps (``H[i]()``) appear in the generated Python: one prologue
+profile bumps (``H[i] += 1``) appear in the generated Python: one prologue
 per evaluated core-form node, in the exact order the interpreter's
 wrapper scheme would fire them (charge, then bump, then the node's
 effect). ``pgmp verify`` needs that order *independently* of codegen —
@@ -23,7 +23,7 @@ One event is recorded per ``node_prologue`` the translation performs:
 * for **budget** flavors, every event is one ``C()`` charge — the event
   count is the expected charge count;
 * for **instr** flavors, events whose node carries a profile point are
-  ``H[i]()`` hook sites, in order — the expected ``hook_sites`` list.
+  ``H[i] += 1`` hook sites, in order — the expected ``hook_sites`` list.
 """
 
 from __future__ import annotations

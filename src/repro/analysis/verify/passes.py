@@ -5,10 +5,11 @@ Given a :class:`~repro.scheme.compile_py.artifact.CompiledArtifact`,
 against the properties the compiled backend's observational-equality
 contract rests on — without executing the artifact:
 
-* **PGMP501** — ``H[i]()`` instrumentation sites appear exactly once per
-  recorded hook site, with sequential indices in textual order, and
-  (when the expanded program is available) the recorded sites match the
-  interpreter-order sites re-derived from the core forms;
+* **PGMP501** — ``H[i] += 1`` instrumentation sites appear exactly once
+  per recorded hook site, with sequential indices in textual order, ``H``
+  is used in no other way, and (when the expanded program is available)
+  the recorded sites match the interpreter-order sites re-derived from
+  the core forms;
 * **PGMP502** — ``C()`` step-budget charges are present in the expected
   count for budget flavors, absent otherwise, and each profile bump is
   immediately preceded by its charge (the interpreter's charge-then-bump
@@ -17,9 +18,10 @@ contract rests on — without executing the artifact:
   the lexical environment codegen established (function scopes, the
   runtime import, a tiny builtin whitelist), and a runnable artifact
   actually defines the ``_pgmp_main(GB, H, C)`` entry point;
-* **PGMP504** — parameter rebinding before a ``continue`` in a
-  self-tail-call ``while`` loop is a single parallel (tuple) assignment,
-  never a sequential one that could read an already-clobbered parameter;
+* **PGMP504** — the last parameter assignment before a ``continue`` in a
+  self-tail-call ``while`` loop rebinds every loop parameter at once, as
+  one parallel (tuple) assignment, never as sequential ones that could
+  read an already-clobbered parameter;
 * **PGMP505** — every inlined primitive fast path (int arithmetic and
   comparisons, ``car``/``cdr`` field access) sits under an identity
   guard (``... is RT.P_x``) so a redefined primitive falls back to the
@@ -68,8 +70,8 @@ _ORDER_OPS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
 #: A check's first finding: its message and the node it anchors to.
 _Finding = tuple[str, ast.AST | None]
 
-#: The call statements each projection of a full text deletes: ``"C"``
-#: charges and ``"H"`` hook calls (see ``compile_py.artifact.project``).
+#: The statements each projection of a full text deletes: ``"C"``
+#: charges and ``"H"`` hooks (see ``compile_py.artifact.project``).
 _PROJECTIONS = {
     "instr": frozenset("C"),
     "budget": frozenset("H"),
@@ -101,30 +103,32 @@ def _is_param_assign(stmt: ast.stmt, params: set[str]) -> bool:
     return False
 
 
-def _call_kind(stmt: ast.stmt) -> str | None:
-    """``"C"`` for a ``C()`` charge statement, ``"H"`` for an ``H[i]()``
-    hook call, None for any other statement."""
-    if not isinstance(stmt, ast.Expr):
-        return None
-    call = stmt.value
-    if not isinstance(call, ast.Call) or call.args or call.keywords:
-        return None
-    func = call.func
-    if isinstance(func, ast.Name) and func.id == "C":
-        return "C"
-    if (
-        isinstance(func, ast.Subscript)
-        and isinstance(func.value, ast.Name)
-        and func.value.id == "H"
-        and isinstance(func.slice, ast.Constant)
-        and isinstance(func.slice.value, int)
-    ):
-        return "H"
+def _line_kind(stmt: ast.stmt) -> str | None:
+    """``"C"`` for a ``C()`` charge statement, ``"H"`` for an ``H[i] += 1``
+    hook with an int literal ``i``, None for any other statement."""
+    if isinstance(stmt, ast.Expr):
+        call = stmt.value
+        if isinstance(call, ast.Call) and not (call.args or call.keywords):
+            if isinstance(call.func, ast.Name) and call.func.id == "C":
+                return "C"
+    elif isinstance(stmt, ast.AugAssign) and isinstance(stmt.op, ast.Add):
+        target, one = stmt.target, stmt.value
+        if (
+            isinstance(one, ast.Constant)
+            and type(one.value) is int
+            and one.value == 1
+            and isinstance(target, ast.Subscript)
+            and isinstance(target.value, ast.Name)
+            and target.value.id == "H"
+            and isinstance(target.slice, ast.Constant)
+            and type(target.slice.value) is int
+        ):
+            return "H"
     return None
 
 
 def _hook_index(stmt: ast.stmt) -> int:
-    return stmt.value.func.slice.value  # type: ignore[attr-defined]
+    return stmt.target.slice.value  # type: ignore[attr-defined]
 
 
 def _continue_finding(
@@ -134,43 +138,38 @@ def _continue_finding(
     deleted: frozenset[str] = frozenset(),
 ) -> _Finding | None:
     """PGMP504 for the ``continue`` at ``block[position]``, rebinding
-    ``params``: the assignments right before it must be one parallel
-    tuple assignment. ``deleted`` names the call statements (see
-    :func:`_call_kind`) a projection removes from the block."""
-    run: list[ast.Assign] = []
+    ``params``: the last parameter assignment before it must rebind every
+    loop parameter at once, as one parallel tuple assignment when there
+    are several. A parameter assignment before that one is the program's
+    own ``set!``. ``deleted`` names the statements (see
+    :func:`_line_kind`) a projection removes from the block."""
     index = position - 1
-    while index >= 0:
-        stmt = block[index]
+    while deleted and index >= 0 and _line_kind(block[index]) in deleted:
         index -= 1
-        if deleted and _call_kind(stmt) in deleted:
-            continue
-        if not _is_param_assign(stmt, params):
-            break
-        assert isinstance(stmt, ast.Assign)
-        run.append(stmt)
-    if len(run) > 1:
-        return (
-            f"self-tail-call rebinds loop parameters in {len(run)} "
-            "sequential assignments before continue; a later assignment "
-            "can read an already-rebound parameter",
-            run[0],
-        )
-    if not run:
+    if index < 0 or not _is_param_assign(block[index], params):
         return None  # zero-parameter loop: bare continue is fine
-    assign = run[0]
+    assign = block[index]
+    assert isinstance(assign, ast.Assign)
     target = assign.targets[0]
+    elts = target.elts if isinstance(target, ast.Tuple) else [target]
+    names = [elt.id for elt in elts]  # type: ignore[attr-defined]
+    if not params <= set(names):
+        return (
+            "self-tail-call rebinds loop parameters in sequential "
+            "assignments before continue, not all at once; a later "
+            "assignment can read an already-rebound parameter",
+            assign,
+        )
     if isinstance(target, ast.Name):
         return None  # one variable: nothing to clobber
-    assert isinstance(target, ast.Tuple)
     value = assign.value
-    if not isinstance(value, ast.Tuple) or len(value.elts) != len(target.elts):
+    if not isinstance(value, ast.Tuple) or len(value.elts) != len(names):
         return (
             "self-tail-call rebinding is not a parallel tuple assignment "
             "of matching arity",
             assign,
         )
-    names = [elt.id for elt in target.elts if isinstance(elt, ast.Name)]
-    if len(set(names)) != len(target.elts):
+    if len(set(names)) != len(names):
         return (
             "self-tail-call rebinding assigns the same loop parameter "
             "twice in one tuple assignment",
@@ -194,18 +193,20 @@ def _is_arity_check(node: ast.Compare) -> bool:
 class _Walk:
     """One traversal of a generated module, carrying every check's state.
 
-    Counts (hook calls, charges) are complete; everything else keeps
+    Counts (hooks, charges) are complete; everything else keeps
     only the first finding in source order, as each check reports at
     most one.
     """
 
     def __init__(self) -> None:
-        # PGMP501 / PGMP502: every hook call and charge statement, in order
+        # PGMP501 / PGMP502: every hook and charge statement, in order,
+        # and the first use of ``H`` outside a hook
         self.hooks: list[ast.stmt] = []
         self.misordered: tuple[ast.stmt, int, int] | None = None
+        self.stray_hook: ast.Name | None = None
         self.charges: list[ast.stmt] = []
         self.uncharged_hook: ast.stmt | None = None
-        # Projections: whether some block holds nothing but hook calls and
+        # Projections: whether some block holds nothing but hooks and
         # charges, and the projections with a PGMP504 finding
         self.calls_only_block = False
         self.projected_tail_loops: set[str] = set()
@@ -235,22 +236,21 @@ class _Walk:
         after_charge = False
         calls = 0
         for position, stmt in enumerate(stmts):
+            kind = _line_kind(stmt)
+            # Only the reads of ``C`` and ``H`` matter to the other checks
+            # in a budget charge or a hook.
+            if kind == "C":
+                self.charges.append(stmt)
+                self.expr(stmt.value.func)  # type: ignore[attr-defined]
+                after_charge = True
+                calls += 1
+                continue
+            if kind == "H":
+                self.hook(stmt, after_charge)  # type: ignore[arg-type]
+                after_charge = False
+                calls += 1
+                continue
             if isinstance(stmt, ast.Expr):
-                kind = _call_kind(stmt)
-                # Only the reads of ``C`` and ``H`` matter to the other
-                # checks in a budget charge or a hook call.
-                if kind == "C":
-                    self.charges.append(stmt)
-                    self.expr(stmt.value.func)  # type: ignore[attr-defined]
-                    after_charge = True
-                    calls += 1
-                    continue
-                if kind == "H":
-                    self.hook(stmt, after_charge)
-                    self.expr(stmt.value.func.value)  # type: ignore[attr-defined]
-                    after_charge = False
-                    calls += 1
-                    continue
                 self.expr(stmt.value)
             elif isinstance(stmt, ast.Assign):
                 for target in stmt.targets:
@@ -310,13 +310,15 @@ class _Walk:
         if stmts and calls == len(stmts):
             self.calls_only_block = True
 
-    def hook(self, stmt: ast.Expr, after_charge: bool) -> None:
+    def hook(self, stmt: ast.AugAssign, after_charge: bool) -> None:
         index = _hook_index(stmt)
         if self.misordered is None and index != len(self.hooks):
             self.misordered = (stmt, len(self.hooks), index)
         if self.uncharged_hook is None and not after_charge:
             self.uncharged_hook = stmt
         self.hooks.append(stmt)
+        if "H" not in self.bound:  # the hook's read of ``H``, for PGMP503
+            self.reads.append(stmt.target.value)  # type: ignore[attr-defined]
 
     def function(self, fn: ast.FunctionDef) -> None:
         self.bound.add(fn.name)
@@ -340,6 +342,8 @@ class _Walk:
 
     def expr(self, node: ast.AST) -> None:
         if isinstance(node, ast.Name):
+            if node.id == "H" and self.stray_hook is None:
+                self.stray_hook = node
             if isinstance(node.ctx, ast.Load):
                 if node.id == "_a":
                     self.reads_a = True
@@ -456,22 +460,27 @@ def _entry_point(tree: ast.Module) -> _Finding | None:
 def _hooks(
     walk: _Walk, artifact: CompiledArtifact, expected: ExpectedEvents | None
 ) -> _Finding | None:
+    if walk.stray_hook is not None:
+        return (
+            "generated code uses H outside a hook statement H[<int>] += 1",
+            walk.stray_hook,
+        )
     if "instr" not in artifact.flavor:
         if walk.hooks:
             stmt = walk.hooks[0]
             index = _hook_index(stmt)
-            return f"non-instrumented flavor emits hook call H[{index}]", stmt
+            return f"non-instrumented flavor emits hook H[{index}] += 1", stmt
         return None
     if walk.misordered is not None:
         stmt, position, index = walk.misordered
         return (
-            f"hook call #{position} in textual order has index "
+            f"hook #{position} in textual order has index "
             f"{index}; emission order must match traversal order",
             stmt,
         )
     if len(walk.hooks) != len(artifact.hook_sites):
         return (
-            f"generated source contains {len(walk.hooks)} hook call(s) but the "
+            f"generated source contains {len(walk.hooks)} hook(s) but the "
             f"artifact records {len(artifact.hook_sites)} hook site(s)",
             None,
         )
@@ -517,11 +526,11 @@ def _charges(
             f"node(s)",
             None,
         )
-    # Charge-then-bump: in instr+budget artifacts every hook call must be
+    # Charge-then-bump: in instr+budget artifacts every hook must be
     # immediately preceded by its node's charge, as sibling statements.
     if "instr" in artifact.flavor and walk.uncharged_hook is not None:
         return (
-            "hook call is not immediately preceded by its C() "
+            "hook is not immediately preceded by its C() "
             "charge (interpreter order is charge, then bump)",
             walk.uncharged_hook,
         )
@@ -582,7 +591,7 @@ def verify_projections(
     text, and the texts of the flavors that are clean because it is.
 
     Each such flavor maps to the full text without the lines of the
-    statements it drops (hook calls and/or charges): an artifact of that
+    statements it drops (hooks and/or charges): an artifact of that
     flavor with exactly that text, and with the hook sites and charge
     count its flavor keeps, verifies clean. No flavor qualifies unless
     the full text has no diagnostic at all, and one is left out when a

@@ -58,7 +58,7 @@ ALL_FLAVORS: tuple[str, ...] = ("plain", "instr", "budget", "instr+budget")
 def verify_program(program: Program, filename: str = "<program>") -> AnalysisReport:
     """Translation-validate every flavor of one expanded program.
 
-    Generates the program's full text, with every hook call and charge,
+    Generates the program's full text, with every hook and charge,
     and parses and checks it once. Each flavor is then the artifact
     memoized on ``program.artifacts`` — so a poisoned in-memory artifact
     is *verified as-is*, not silently recompiled into innocence — or else

@@ -56,9 +56,9 @@ class BaseCounterSet:
     def incrementer(self, point: ProfilePoint):
         """Return a zero-argument closure that bumps ``point``.
 
-        Instrumentation passes pre-bind the point so the per-execution cost
-        is one dict update — the analogue of the single memory increment a
-        Ball–Larus counter costs in Chez Scheme.
+        A caller that bumps one point many times pre-binds it, so each
+        bump is one dict update. (Scheme runs bump list slots instead and
+        add them with :meth:`increment` when the run ends.)
         """
         raise NotImplementedError
 

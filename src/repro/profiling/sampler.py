@@ -4,15 +4,14 @@
 sampling engine, shared by both substrates. It wraps a counter set and
 keeps one residue cell per profile point; a point's every
 ``stride``-th event lands in the wrapped set as a bump *by* the stride,
-so counts arrive already scaled. Scheme hook sites (interpreter
-``compile()`` closures and ``compile_py`` ``hook_table`` entries) take
-their bump from :meth:`SamplingCollector.incrementer` through
-:meth:`repro.scheme.instrument.Instrumenter.hook_for`, so all the sites
-of one point (a macro that copies its argument) share its cell. The
-pyast ``profile_hook`` calls :meth:`SamplingCollector.increment` on the
-installed collector. At stride 1 the constructor returns the wrapped
-counter set itself: exact collection is stride 1, and its hot path is
-the plain counter bump.
+so counts arrive already scaled. A Scheme run counts its events in
+per-site slots and :meth:`repro.scheme.instrument.Instrumenter.fold`
+adds each site's count with one :meth:`SamplingCollector.increment`, so
+all the sites of one point (a macro that copies its argument) share its
+cell. The pyast ``profile_hook`` calls :meth:`SamplingCollector.increment`
+on the installed collector, once per event. At stride 1 the constructor
+returns the wrapped counter set itself: exact collection is stride 1,
+and its hot path is the plain counter bump.
 
 **Run subsetting.** :class:`RunSampler` subsets *whole runs* of
 production traffic (``pgmp ship --profile-mode sampled``): one run in
@@ -78,10 +77,12 @@ class RunSampler:
 class SamplingCollector(BaseCounterSet):
     """A counter set whose increment is the per-point stride gate.
 
-    Each point has one residue cell, a one-element list that every bump
-    of the point shares. A point's count in the wrapped set is therefore
-    a multiple of the stride, never above the exact count and less than
-    one stride below it. ``SamplingCollector(inner, 1)`` is ``inner``.
+    Each point has one residue cell, a one-element list updated in place
+    so that an event hashes its point once. ``increment(point, n)``
+    leaves what ``n`` single bumps leave, so a point's count in the
+    wrapped set is a multiple of the stride, never above the exact count
+    and less than one stride below it. ``SamplingCollector(inner, 1)``
+    is ``inner``.
 
     One gate serves one run on one thread: the cells are not locked.
     """
@@ -114,25 +115,8 @@ class SamplingCollector(BaseCounterSet):
             cell[0] = rest = n % stride
             self.inner.increment(point, n - rest)
 
-    def incrementer(self, point: ProfilePoint):
-        cell = self._cells.setdefault(point, [0])
-
-        # Defaults, not closure cells: a Scheme run binds one bump per
-        # hook site, and fewer objects per bump mean fewer collections.
-        def bump(_cell=cell, _stride=self.stride, _inner=self.inner, _point=point):
-            n = _cell[0] + 1
-            if n < _stride:
-                _cell[0] = n
-            else:
-                _cell[0] = 0
-                _inner.increment(_point, _stride)
-
-        return bump
-
     def clear(self) -> None:
-        # Zero the cells in place: pre-bound bumps hold them.
-        for cell in self._cells.values():
-            cell[0] = 0
+        self._cells.clear()
         self.inner.clear()
 
     def count(self, point: ProfilePoint) -> int:

@@ -6,9 +6,11 @@ cached artifact on disk is a readable Python module) and, when the
 program is translatable, compiles it to the ``_pgmp_main`` entry point on
 first use: an artifact nothing runs is never compiled.
 
-Codegen emits one text per program, with every hook call and every
-charge; :func:`project` derives a flavor's text from it by deleting
-whole ``H[i]()`` and/or ``C()`` lines.
+Codegen emits one text per program, with every hook and every charge;
+:func:`project` derives a flavor's text from it by deleting whole
+``H[i] += 1`` and/or ``C()`` lines. An instrumented run binds ``H`` to a
+fresh list of zeros, one slot per hook site, and folds it into the
+instrumenter's counters when the run returns or raises.
 
 Programs the backend cannot translate still produce an artifact — not
 runnable, with only the expansion text — so a warm cache can answer
@@ -24,7 +26,6 @@ from types import CodeType
 
 from repro.core.errors import SchemeRecursionError
 from repro.core.policy import StepBudget
-from repro.scheme.compile_py import runtime as RT
 from repro.scheme.compile_py.codegen import (
     CODEGEN_VERSION,
     UnsupportedFormError,
@@ -66,12 +67,12 @@ def flavor_for(instrumented: bool, budgeted: bool) -> str:
     return "plain"
 
 
-#: The lines each flavor deletes from the full text: a flavor keeps hook
-#: calls iff it is instrumented, and charges iff it is budgeted.
+#: The lines each flavor deletes from the full text: a flavor keeps hooks
+#: iff it is instrumented, and charges iff it is budgeted.
 _DELETED_LINES = {
     "instr": re.compile(r"^ *C\(\)\n", re.MULTILINE),
-    "budget": re.compile(r"^ *H\[\d+\]\(\)\n", re.MULTILINE),
-    "plain": re.compile(r"^ *(?:C\(\)|H\[\d+\]\(\))\n", re.MULTILINE),
+    "budget": re.compile(r"^ *H\[\d+\] \+= 1\n", re.MULTILINE),
+    "plain": re.compile(r"^ *(?:C\(\)|H\[\d+\] \+= 1)\n", re.MULTILINE),
 }
 
 
@@ -90,7 +91,7 @@ class CompiledArtifact:
     python_source: str
     filename: str
     flavor: str
-    #: ordered (profile point, is_app) per generated ``H[i]()`` site
+    #: ordered (profile point, is_app) per generated ``H[i] += 1`` site
     hook_sites: list
     expansion_text: str
     compile_output: str
@@ -167,7 +168,8 @@ class CompiledArtifact:
 
         The caller must pass a configuration matching this artifact's
         flavor: hooks and charges exist only where they were compiled in.
-        The first call compiles the generated source.
+        The first call compiles the generated source. An instrumented
+        run's counts reach the counter set when it returns or raises.
         """
         if not self.runnable:
             raise UnsupportedFormError(
@@ -184,14 +186,17 @@ class CompiledArtifact:
             namespace: dict = {}
             exec(self._code(), namespace)
             main = self.main = namespace["_pgmp_main"]
-        hooks = RT.hook_table(instrumenter, self.hook_sites)
+        slots = [0] * len(self.hook_sites)
         charge = budget.charge if budget is not None else None
         try:
-            return main(global_env, hooks, charge)
+            return main(global_env, slots, charge)
         except RecursionError:
             # Backstop, mirroring Interpreter.run_top_form: call sites
             # inside the generated code convert first and carry a srcloc.
             raise SchemeRecursionError.at(None) from None
+        finally:
+            if instrumenter is not None:
+                instrumenter.fold(self.hook_sites, slots)
 
 
 def _exec_module(source: str, filename: str) -> dict:

@@ -23,14 +23,16 @@ each step runs:
 
 Fuel and instrumentation are preserved exactly: every node evaluation
 emits a budget charge ``C()`` and — for nodes carrying a profile point —
-a hook call ``H[i]()`` in the interpreter's wrapper order (charge, then
-bump, then the node's effect), each on a line of its own. Codegen emits
-this one text per program; every artifact flavor is a projection of it
-that deletes the ``H[i]()`` lines, the ``C()`` lines, or both
+a hook ``H[i] += 1`` in the interpreter's wrapper order (charge, then
+bump, then the node's effect), each on a line of its own. ``H`` is the
+run's list of slots, one per hook site, so a bump is a list increment
+that hashes nothing and calls nothing. Codegen emits this one text per
+program; every artifact flavor is a projection of it that deletes the
+hook lines, the ``C()`` lines, or both
 (:func:`repro.scheme.compile_py.artifact.project`), so the flavors differ
 by whole lines and nothing else. Hook sites are recorded as an ordered
-``(point, is_app)`` list so the artifact can rebuild per-site bumps for
-any instrumenter at run time.
+``(point, is_app)`` list, the ``i``-th naming slot ``i``, so the
+artifact can fold a run's slots into any instrumenter's counters.
 
 ``syntax-case`` and template forms (expand-time constructs that rarely
 survive into run-time programs) are not translated; codegen raises
@@ -78,7 +80,7 @@ __all__ = [
 
 #: Part of every artifact-cache key: bump on any change to the generated
 #: code's shape or semantics so stale cached artifacts never load.
-CODEGEN_VERSION = 3
+CODEGEN_VERSION = 4
 
 
 class UnsupportedFormError(SchemeError):
@@ -202,7 +204,7 @@ class _Codegen:
         #: qualifying top-level function unique -> python def name
         self.fn_names: dict[Symbol, str] = {}
         self.current_form = -1
-        #: ordered (profile point, is_app) per emitted hook call
+        #: ordered (profile point, is_app) per emitted hook, slot i at index i
         self.hook_sites: list[tuple[ProfilePoint, bool]] = []
         #: how many C() charges were emitted — recorded so translation
         #: validation can check charge sites without re-running codegen
@@ -292,7 +294,7 @@ class _Codegen:
         point = e.profile_point
         if point is not None:
             self.hook_sites.append((point, isinstance(e, App)))
-            self.w(f"H[{len(self.hook_sites) - 1}]()")
+            self.w(f"H[{len(self.hook_sites) - 1}] += 1")
 
     # -- constants -------------------------------------------------------------
 
@@ -702,8 +704,8 @@ def generate_unit(
     """Translate an expanded program to its one Python text.
 
     Returns ``(source, hook_sites, charge_count)``: the text carries every
-    hook call and every charge, ``hook_sites`` lists the ``(point,
-    is_app)`` of each ``H[i]()`` in order, and ``charge_count`` is
+    hook and every charge, ``hook_sites`` lists the ``(point, is_app)``
+    of each ``H[i] += 1`` in order, and ``charge_count`` is
     codegen's own record of how many ``C()`` charges the text contains
     (translation validation, PGMP502, cross-checks it against both the
     text and the interpreter-order traversal). Deterministic for a given

@@ -46,9 +46,7 @@ __all__ = [
     "bad_arity",
     "bad_arity_at_least",
     "define_rename",
-    "hook_table",
     "locate",
-    "noop",
     "rec_err",
     "settle",
     "slist",
@@ -156,22 +154,3 @@ def define_rename(value: object, name: str) -> object:
         except AttributeError:  # builtins without writable attributes
             pass
     return value
-
-
-def noop() -> None:
-    return None
-
-
-def hook_table(instrumenter, sites) -> list:
-    """One bump per recorded site, in emission order.
-
-    ``sites`` is the codegen's ordered ``(profile point, is_app)`` list;
-    each entry gets its bump exactly as each interpreter compile() call
-    would, so under SAMPLE mode the sites of one point share its stride
-    gate residue on both backends.
-    """
-    if instrumenter is None:
-        return []
-    return [
-        instrumenter.hook_for(point, is_app) or noop for point, is_app in sites
-    ]

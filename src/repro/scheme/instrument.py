@@ -13,11 +13,12 @@ The paper's two implementations differ in *what* their profilers count:
   only the run-time overhead differs — a claim benchmarked in
   ``benchmarks/bench_sec44_overhead.py``.
 
-An :class:`Instrumenter` is handed to the interpreter at compile time; for
-each core node it either returns a pre-bound zero-argument counter bump or
-``None`` (not profiled). When a program is *not* instrumented, no
-instrumenter exists and profile points cost nothing — the paper's "when the
-program is not instrumented … profile points need not introduce any
+An :class:`Instrumenter` serves one run on either backend. The run counts
+each counted site's events in a plain list, one slot per site; when it
+returns or raises, :meth:`Instrumenter.fold` adds the list to the counter
+set on the thread that ran it. When a program is *not* instrumented, no
+instrumenter exists and profile points cost nothing — the paper's "when
+the program is not instrumented … profile points need not introduce any
 overhead".
 """
 
@@ -27,7 +28,6 @@ import enum
 
 from repro.core.counters import BaseCounterSet
 from repro.profiling.sampler import SamplingCollector, _validated_stride
-from repro.scheme.core_forms import App, CoreExpr
 
 __all__ = ["ProfileMode", "Instrumenter"]
 
@@ -59,6 +59,9 @@ class Instrumenter:
         self.counters = counters
         self.mode = mode
         self.sample_stride = _validated_stride(sample_stride)
+        #: whether a site that is not an application counts: every site
+        #: with a point under EXPR and SAMPLE, only applications under CALL
+        self.every_site = mode is not ProfileMode.CALL
         #: where bumps land: under SAMPLE the stride gate, which is the
         #: counter set itself at stride 1
         self._sink = (
@@ -67,21 +70,14 @@ class Instrumenter:
             else counters
         )
 
-    def hook(self, expr: CoreExpr):
-        """A pre-bound counter bump for ``expr``, or None when not profiled."""
-        return self.hook_for(expr.profile_point, isinstance(expr, App))
-
-    def hook_for(self, point, is_app: bool):
-        """A pre-bound counter bump for a profile point at a known site.
-
-        The seam the compiled backend shares with the interpreter: both
-        describe a site as ``(point, is-it-an-application)`` and get back
-        the identical bump (or ``None``), so per-mode filtering and the
-        per-point sampling state behave the same under either backend.
-        Every site of one point shares that point's residue in the gate.
-        """
-        if point is None:
-            return None
-        if self.mode is ProfileMode.CALL and not is_app:
-            return None
-        return self._sink.incrementer(point)
+    def fold(self, sites, slots) -> None:
+        """Add one run's slot counts, slot ``i`` counting site ``sites[i]``
+        (a ``(point, is_app)``), as one ``increment(point, n)`` per counted
+        non-zero slot. Under SAMPLE the sink is the stride gate, where ``n``
+        events leave what ``n`` single bumps leave, so all the sites of one
+        point share its residue."""
+        sink = self._sink
+        every = self.every_site
+        for (point, is_app), n in zip(sites, slots):
+            if n and (every or is_app):
+                sink.increment(point, n)

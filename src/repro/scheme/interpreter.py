@@ -5,8 +5,10 @@ The interpreter compiles the typed core AST of
 compilation" — each node becomes a ``step(env) -> value`` function), then
 runs them. This keeps per-node dispatch out of the hot loop and gives the
 profiler a natural seam: when instrumentation is on, a node's step is
-wrapped with a pre-bound counter bump, the moral equivalent of the single
-memory increment Chez Scheme's block-level counters cost.
+wrapped to add one to its own slot of a list the interpreter owns, the
+moral equivalent of the single memory increment Chez Scheme's
+block-level counters cost. :meth:`Interpreter.run_program` folds that
+list into the counter set when the run returns or raises.
 
 Tail calls are implemented with a trampoline: a step compiled in tail
 position may return a :class:`TailCall` sentinel, unwound by the nearest
@@ -150,14 +152,24 @@ class Interpreter:
         #: runaway run raises StepBudgetExceeded instead of hanging —
         #: the per-pass timeout of the resumable three-pass workflow.
         self.budget = budget
+        #: one ``(point, is_app)`` and one count per instrumented node
+        self._sites: list = []
+        self._slots: list[int] = []
 
     # -- public entry points -----------------------------------------------------
 
     def run_program(self, program: Program) -> object:
-        """Compile and evaluate each top-level form; value of the last."""
+        """Compile and evaluate each top-level form; value of the last.
+        An instrumented run's counts land when it returns or raises."""
         result: object = UNSPECIFIED
-        for form in program.forms:
-            result = self.run_top_form(form)
+        try:
+            for form in program.forms:
+                result = self.run_top_form(form)
+        finally:
+            if self.instrumenter is not None:
+                slots = self._slots
+                self.instrumenter.fold(self._sites, slots)
+                slots[:] = [0] * len(slots)
         return result
 
     def run_top_form(self, form: CoreExpr) -> object:
@@ -193,12 +205,15 @@ class Interpreter:
         """Compile ``expr`` to a step function; ``tail`` marks tail position."""
         step = self._compile_node(expr, tail)
         if self.instrumenter is not None:
-            bump = self.instrumenter.hook(expr)
-            if bump is not None:
-                inner = step
+            point = expr.profile_point
+            is_app = isinstance(expr, App)
+            if point is not None and (is_app or self.instrumenter.every_site):
+                slot = len(self._slots)
+                self._sites.append((point, is_app))
+                self._slots.append(0)
 
-                def instrumented(env, _bump=bump, _inner=inner):
-                    _bump()
+                def instrumented(env, _K=self._slots, _i=slot, _inner=step):
+                    _K[_i] += 1
                     return _inner(env)
 
                 step = instrumented

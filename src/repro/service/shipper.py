@@ -50,7 +50,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.core.counters import BaseCounterSet
-from repro.core.errors import BackpressureError, DeltaFormatError, ServiceError
+from repro.core.errors import BackpressureError, DeltaFormatError, PgmpError, ServiceError
 from repro.core.policy import DegradationLog, ProfilePolicy, degrade
 from repro.obs.logs import get_logger
 from repro.profiling.reconstruct import confidence_for_counts
@@ -583,7 +583,10 @@ class ProfileShipper:
 
     def _run(self) -> None:
         while not self._stop.wait(self.flush_interval):
-            self.flush()
+            try:
+                self.flush()
+            except PgmpError as exc:  # strict: log, retry at the next interval
+                logger.warning("shipper %s: flush failed: %s", self.shipper_id, exc)
 
     def close(self) -> None:
         """Final flush + drain; spill whatever could not be delivered."""

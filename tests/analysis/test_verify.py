@@ -103,15 +103,15 @@ class TestCleanArtifacts:
 
 class TestPGMP501:
     def test_swapped_hook_indices(self):
-        bad = _tampered(_artifact("instr"), r"H\[1\]\(\)", "H[99]()")
-        bad = _tampered(bad, r"H\[2\]\(\)", "H[1]()")
-        bad = _tampered(bad, r"H\[99\]\(\)", "H[2]()")
+        bad = _tampered(_artifact("instr"), r"H\[1\] \+= 1", "H[99] += 1")
+        bad = _tampered(bad, r"H\[2\] \+= 1", "H[1] += 1")
+        bad = _tampered(bad, r"H\[99\] \+= 1", "H[2] += 1")
         report = verify_artifact(bad)
         assert report.codes() == ["PGMP501"]
         assert report.errors()
 
     def test_dropped_hook_call(self):
-        bad = _tampered(_artifact("instr"), r" *H\[2\]\(\)\n", "")
+        bad = _tampered(_artifact("instr"), r" *H\[2\] \+= 1\n", "")
         report = verify_artifact(bad)
         assert "PGMP501" in report.codes()
         assert report.errors()
@@ -120,11 +120,25 @@ class TestPGMP501:
         bad = _tampered(
             _artifact("plain"),
             r"    _B = GB\.bindings\n",
-            "    _B = GB.bindings\n    H[0]()\n",
+            "    _B = GB.bindings\n    H[0] += 1\n",
         )
         report = verify_artifact(bad)
         assert report.by_code("PGMP501")
         assert report.errors()
+
+    @pytest.mark.parametrize(
+        "flavor,extra", [("instr", "H[2] += 2"), ("plain", "H[0] = 1")]
+    )
+    def test_any_other_use_of_h(self, flavor, extra):
+        # Every hook is still in place and in order: only the extra
+        # statement touching ``H`` is wrong.
+        bad = _tampered(
+            _artifact(flavor),
+            r"    _B = GB\.bindings\n",
+            f"    _B = GB.bindings\n    {extra}\n",
+        )
+        (finding,) = verify_artifact(bad).by_code("PGMP501")
+        assert "outside a hook statement" in finding.message
 
     def test_recorded_sites_diverge_from_interpreter_order(self):
         program = _program()
@@ -156,11 +170,11 @@ class TestPGMP502:
         assert report.codes() == ["PGMP502"]
 
     def test_bump_before_charge_breaks_interpreter_order(self):
-        # Swap one C();H[5]() pair: counts stay right, order does not.
+        # Swap one C();H[5] += 1 pair: counts stay right, order does not.
         bad = _tampered(
             _artifact("instr+budget"),
-            r"( *)C\(\)\n( *)H\[5\]\(\)",
-            r"\1H[5]()\n\2C()",
+            r"( *)C\(\)\n( *)H\[5\] \+= 1",
+            r"\1H[5] += 1\n\2C()",
         )
         report = verify_artifact(bad)
         assert report.by_code("PGMP502")
@@ -367,7 +381,7 @@ class TestCacheVerification:
         body = text[: marker + 1]
         meta = eval(text[marker + len(_META_MARKER) :].strip())  # noqa: S307
         bad_body = body.replace(
-            "    _B = GB.bindings\n", "    _B = GB.bindings\n    H[0]()\n", 1
+            "    _B = GB.bindings\n", "    _B = GB.bindings\n    H[0] += 1\n", 1
         )
         assert bad_body != body
         meta["checksum"] = artifact_checksum(bad_body)
@@ -384,7 +398,7 @@ class TestCacheVerification:
         body = text[: marker + 1]
         meta = eval(text[marker + len(_META_MARKER) :].strip())  # noqa: S307
         bad_body = body.replace(
-            "    _B = GB.bindings\n", "    _B = GB.bindings\n    H[0]()\n", 1
+            "    _B = GB.bindings\n", "    _B = GB.bindings\n    H[0] += 1\n", 1
         )
         meta["checksum"] = artifact_checksum(bad_body)
         with open(path, "w", encoding="utf-8") as handle:

@@ -3,12 +3,14 @@
 The per-code goldens in ``test_verify.py`` each tamper with one site of
 one program. Here every artifact of the compile backend's 17-program
 parity battery, plus one ``case``-library program, in every flavor, is
-mutated by five operators, each applied at its first, middle and last
+mutated by eight operators, each applied at its first, middle and last
 site (in source order). Each operator breaks one translation invariant,
 and the verifier must report that invariant's code among its errors:
 
 * drop a ``C()`` charge (budget flavors) -> PGMP502;
-* swap the indices of two ``H[i]()`` calls (instr flavors) -> PGMP501;
+* swap the indices of two ``H[i] += 1`` hooks (instr flavors) -> PGMP501;
+* turn one hook into ``H[i] += 2``, the call ``H[i]()``, or the store
+  ``H[i] = 1`` (instr flavors) -> PGMP501;
 * split a parallel loop rebinding into sequential assignments -> PGMP504;
 * remove the ``tN is RT.P_x`` conjunct of a fast-path guard -> PGMP505;
 * rename one read to an unbound name -> PGMP503.
@@ -111,15 +113,20 @@ def drop_charge(tree: ast.Module) -> list[Mutation]:
     ]
 
 
-def swap_hooks(tree: ast.Module) -> list[Mutation]:
-    slices = [
-        call.func.slice
+def _hooks(tree: ast.Module) -> list[tuple[list[ast.stmt], int]]:
+    """``(block, index)`` of every ``H[i] += 1`` hook, in source order."""
+    return [
+        (block, index)
         for block, index in _statements(tree)
-        if (call := _call_stmt(block[index])) is not None
-        and isinstance(call.func, ast.Subscript)
-        and isinstance(call.func.value, ast.Name)
-        and call.func.value.id == "H"
+        if isinstance(stmt := block[index], ast.AugAssign)
+        and isinstance(stmt.target, ast.Subscript)
+        and isinstance(stmt.target.value, ast.Name)
+        and stmt.target.value.id == "H"
     ]
+
+
+def swap_hooks(tree: ast.Module) -> list[Mutation]:
+    slices = [block[index].target.slice for block, index in _hooks(tree)]
 
     def swap(a: ast.Constant, b: ast.Constant) -> Mutation:
         def mutate() -> None:
@@ -134,6 +141,39 @@ def swap_hooks(tree: ast.Module) -> list[Mutation]:
         swap(here, slices[k + 1] if k + 1 < len(slices) else slices[k - 1])
         for k, here in enumerate(slices)
     ]
+
+
+def _rewriting_hooks(name: str, rewrite: Callable[[ast.Subscript], ast.stmt]):
+    """An operator that replaces one hook with ``rewrite`` of its ``H[i]``."""
+
+    def operator(tree: ast.Module) -> list[Mutation]:
+        def replace(block: list[ast.stmt], index: int) -> Mutation:
+            hook = block[index]
+
+            def mutate() -> None:
+                block[index] = ast.copy_location(rewrite(hook.target), hook)
+
+            return mutate
+
+        return [replace(block, index) for block, index in _hooks(tree)]
+
+    operator.__name__ = name
+    return operator
+
+
+bump_hook_by_two = _rewriting_hooks(
+    "bump_hook_by_two",
+    lambda target: ast.AugAssign(target, ast.Add(), ast.Constant(2)),
+)
+call_hook = _rewriting_hooks(
+    "call_hook",
+    lambda target: ast.Expr(
+        ast.Call(ast.Subscript(target.value, target.slice, ast.Load()), [], [])
+    ),
+)
+assign_hook = _rewriting_hooks(
+    "assign_hook", lambda target: ast.Assign([target], ast.Constant(1))
+)
 
 
 def split_rebinding(tree: ast.Module) -> list[Mutation]:
@@ -210,6 +250,9 @@ def unbind_read(tree: ast.Module) -> list[Mutation]:
 OPERATORS = [
     (drop_charge, ("budget", "instr+budget"), "PGMP502"),
     (swap_hooks, ("instr", "instr+budget"), "PGMP501"),
+    (bump_hook_by_two, ("instr", "instr+budget"), "PGMP501"),
+    (call_hook, ("instr", "instr+budget"), "PGMP501"),
+    (assign_hook, ("instr", "instr+budget"), "PGMP501"),
     (split_rebinding, ALL_FLAVORS, "PGMP504"),
     (strip_guard, ALL_FLAVORS, "PGMP505"),
     (unbind_read, ALL_FLAVORS, "PGMP503"),

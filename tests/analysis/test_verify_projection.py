@@ -8,14 +8,15 @@ in full and concatenating the reports, flavor by flavor. The two must
 agree in codes, messages, lines and columns:
 
 * (a) on the programs as generated;
-* (b) with one memoized flavor replaced by a mutant (the five operators
-  of ``test_verify_mutations.py``, each at its first, middle and last
+* (b) with one memoized flavor replaced by a mutant (the operators of
+  ``test_verify_mutations.py``, each at its first, middle and last
   site), as a poisoned in-memory artifact would be;
 * (c) with codegen returning a mutated full text, so every flavor is a
   projection of a text with a finding.
 
 The 17-program parity battery and the ``case`` program are the inputs,
-plus programs whose full text is clean while one projection is not.
+plus programs that assign a loop parameter right before its tail call,
+and a full text that is clean while two of its projections are not.
 """
 
 from __future__ import annotations
@@ -31,14 +32,14 @@ from repro.analysis.verify import ALL_FLAVORS, verify_artifact, verify_program
 from repro.analysis.verify.passes import verify_projections
 from repro.casestudies import CASE_LIBRARY, EXCLUSIVE_COND_LIBRARY
 from repro.scheme.compile_py import artifact as artifact_module
-from repro.scheme.compile_py.artifact import compile_program
+from repro.scheme.compile_py.artifact import compile_program, flavor_artifact
 from repro.scheme.pipeline import SchemeSystem
 from tests.analysis.test_verify_mutations import CASE_PROGRAM, OPERATORS, _mutants
 from tests.scheme.test_compile_backend import PARITY_PROGRAMS
 
-#: Full text clean, ``plain`` projection not: the ``set!`` assignment
-#: lands right before the tail call's rebinding once the charge and hook
-#: lines between them are gone (PGMP504 on ``plain`` only).
+#: The ``set!`` assignment lands right before the tail call's rebinding
+#: once the charge and hook lines between them are gone (``plain``): it
+#: is the program's own assignment, not part of the rebinding.
 SET_BEFORE_TAIL_CALL = [
     "(define (f x) (set! x 1) (f x)) 1",
     "(define (f x n) (if (= n 0) x (begin (set! n (- n 1)) (f x n)))) (f 0 5)",
@@ -108,12 +109,32 @@ def test_a_clean_program_is_parsed_once(programs, monkeypatch):
         assert parsed[0] == full.python_source
 
 
-def test_clean_full_text_with_an_unclean_projection():
+def test_set_of_a_loop_parameter_before_the_tail_call_verifies_clean():
     for source in SET_BEFORE_TAIL_CALL:
         program = SchemeSystem().compile(source, "<set>")
-        rows = _agree(program, "<set>")
-        assert [row[0] for row in rows] == ["PGMP504"]
-        assert rows[0][2].startswith("artifact[plain]: ")
+        assert _agree(program, "<set>") == [], source
+
+
+def test_clean_full_text_with_an_unclean_projection():
+    """A charge between a parameter's own assignment and the ``continue``
+    keeps the full text clean; deleting the charge leaves that assignment,
+    which rebinds one of two parameters, last before the ``continue``."""
+    program = SchemeSystem().compile(PARITY_PROGRAMS[1], "<t>")
+    full = compile_program(program, "<t>", "instr+budget")
+    text, count = re.subn(
+        r"\n( *)(v_i_\d+), (v_acc_\d+) = (.+)\n *continue\n",
+        r"\n\1\2, \3 = \4\n\1\3 = \3\n\1C()\n\1continue\n",
+        full.python_source,
+    )
+    assert count == 1
+    # no Program, so only the text's own invariants are checked
+    bare = dataclasses.replace(
+        full, python_source=text, program=None, charge_count=full.charge_count + 1
+    )
+    assert _vouched(bare) == {"instr+budget", "budget"}
+    for flavor in ("instr", "plain"):
+        projected = flavor_artifact((text, full.hook_sites, 0), "<t>", flavor)
+        assert verify_artifact(projected).codes() == ["PGMP504"], flavor
 
 
 def test_one_memoized_flavor_mutated(programs):
@@ -164,7 +185,7 @@ def test_a_hook_sharing_its_line_is_not_projected():
     full = compile_program(program, "<t>", "instr+budget")
     assert _vouched(full) == set(ALL_FLAVORS)
     joined, count = re.subn(
-        r"\n( *)(H\[\d+\]\(\))\n *(?=t\d+ = )",
+        r"\n( *)(H\[\d+\] \+= 1)\n *(?=t\d+ = )",
         r"\n\1\2; ",
         full.python_source,
         count=1,

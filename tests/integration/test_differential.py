@@ -9,7 +9,10 @@ Generates small random Scheme programs and checks:
    preserving for arbitrary generated `case` tables and key streams;
 5. sampled counters are identical on the interpreter and ``compile_py``,
    and each point reads a multiple of the stride less than one stride
-   below its exact count.
+   below its exact count;
+6. the interpreter and ``compile_py`` leave identical counters, values
+   and remaining budget in every profile mode, also when a run stops
+   mid-way on an error or an exhausted step budget.
 """
 
 import pytest
@@ -20,7 +23,8 @@ from repro.blocks.compiler import compile_program
 from repro.blocks.pgo import optimize_layout
 from repro.blocks.vm import VM
 from repro.core.counters import CounterSet
-from repro.core.errors import EvalError, SchemeError, VMError
+from repro.core.errors import EvalError, SchemeError, StepBudgetExceeded, VMError
+from repro.core.policy import StepBudget
 from repro.scheme.datum import write_datum
 from repro.scheme.instrument import ProfileMode
 from repro.scheme.pipeline import SchemeSystem
@@ -140,6 +144,110 @@ def test_sampled_counters_agree_and_stay_within_one_stride(expr, twice, runs, st
     for point, count in exact.items():
         assert 0 <= count - sampled.get(point, 0) < stride
         assert sampled.get(point, 0) % stride == 0
+
+
+def _outcome(system, program, mode, backend, stride, steps):
+    """``(value or error class, counters, remaining budget)`` of one run.
+
+    Only the error's class is compared: where ``compile_py`` inlines a
+    ``let``, a run-time error's ``(at ...)`` location can name the inner
+    call instead of the interpreter's ``let`` application.
+    """
+    counters = CounterSet()
+    budget = StepBudget(steps) if steps is not None else None
+    try:
+        result = system.run(
+            program,
+            instrument=mode,
+            counters=counters,
+            backend=backend,
+            budget=budget,
+            sample_stride=stride,
+        )
+        value = write_datum(strip_all(result.value))
+    except (EvalError, SchemeError, StepBudgetExceeded) as exc:
+        value = type(exc).__name__
+    return value, counters.snapshot(), budget.remaining if budget else None
+
+
+@given(
+    _exprs(3),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=-1, max_value=8),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=600)),
+    st.sampled_from(
+        [
+            (ProfileMode.EXPR, None),
+            (ProfileMode.CALL, None),
+            (ProfileMode.SAMPLE, 3),
+            (ProfileMode.SAMPLE, 10),
+        ]
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_counters_agree_across_backends(expr, runs, fail_at, steps, mode):
+    """Counters, values and budgets agree, also for a run cut short: the
+    loop raises at iteration ``fail_at`` (-1 never), the generated body
+    may raise by itself, and ``steps`` may run out first."""
+    source = _program(
+        f"(define (body) {expr})\n"
+        "(define (repeat n)\n"
+        "  (if (= n 0) 'done\n"
+        f"      (begin (body) (if (= n {fail_at}) (car n) #f) (repeat (- n 1)))))\n"
+        f"(repeat {runs})"
+    )
+    system = SchemeSystem()
+    program = system.compile(source, "gen.ss")
+    profile_mode, stride = mode
+    interpreted = _outcome(system, program, profile_mode, "interp", stride, steps)
+    compiled = _outcome(system, program, profile_mode, "compile", stride, steps)
+    assert compiled == interpreted
+
+
+LOOP_THAT_RAISES = """
+(define (work i) (* i i))
+(define (loop i n)
+  (if (= i n) (car i) (begin (work i) (loop (+ i 1) n))))
+(loop 0 7)
+"""
+
+
+@pytest.mark.parametrize("backend", ["interp", "compile"])
+@pytest.mark.parametrize("mode", [ProfileMode.EXPR, ProfileMode.CALL])
+def test_a_loop_that_raises_keeps_the_counts_it_reached(backend, mode):
+    """Seven iterations, then ``(car 7)`` raises: the body's call counted
+    exactly seven times, the raising call once."""
+    system = SchemeSystem()
+    program = system.compile(LOOP_THAT_RAISES, "loop.ss")
+    counters = CounterSet()
+    with pytest.raises(EvalError, match="car: expected a pair"):
+        system.run(program, instrument=mode, counters=counters, backend=backend)
+    by_start = {point.location.start: n for point, n in counters.snapshot().items()}
+    assert by_start[LOOP_THAT_RAISES.rindex("(work i)")] == 7
+    assert by_start[LOOP_THAT_RAISES.index("(car i)")] == 1
+
+
+@pytest.mark.parametrize("backend", ["interp", "compile"])
+def test_a_closure_left_by_a_run_counts_nothing_after_it(backend):
+    """A run's counts land when it ends: a closure it left in a global
+    and a later run calls no longer counts into the first run's points."""
+    system = SchemeSystem()
+    first = system.compile(
+        "(define (make) (lambda () (+ 1 2))) (define saved (make)) (saved)", "a.ss"
+    )
+    counters = CounterSet()
+    system.run(first, instrument=ProfileMode.EXPR, counters=counters, backend=backend)
+    before = counters.snapshot()
+    body = [p for p in before if p.location.filename == "a.ss" and before[p] == 1]
+    assert body, "the closure body counted once in its own run"
+    second = system.compile("(saved) (saved)", "b.ss")
+    result = system.run(
+        second, instrument=ProfileMode.EXPR, counters=counters, backend=backend
+    )
+    assert result.value == 3
+    after = counters.snapshot()
+    assert {p: n for p, n in after.items() if p.location.filename == "a.ss"} == before
+    assert sum(n for p, n in after.items() if p.location.filename == "b.ss") == 4
 
 
 @given(_exprs(3))

@@ -128,11 +128,10 @@ def test_gate_at_stride_one_is_the_counter_set_itself():
     assert gate.inner is inner and gate.stride == 4
 
 
-#: (point index, site index, by) events; each point has two hook sites.
+#: (point index, by) events: ``by`` events of one point, as a run's fold
+#: adds one site's count.
 STREAMS = st.lists(
-    st.tuples(
-        st.integers(0, len(POINTS) - 1), st.integers(0, 1), st.integers(1, 6)
-    ),
+    st.tuples(st.integers(0, len(POINTS) - 1), st.integers(1, 6)),
     max_size=40,
 )
 
@@ -146,15 +145,14 @@ def test_gate_stays_within_one_stride_of_exact(stream, stride):
     gate = SamplingCollector(by_increment, stride)
     bumping = SamplingCollector(by_bumps, stride)
     assert (gate is by_increment) == (stride == 1)
-    sites = [[bumping.incrementer(point) for _ in range(2)] for point in POINTS]
 
     def replay():
-        for index, site, by in stream:
+        for index, by in stream:
             gate.increment(POINTS[index], by)
             for _ in range(by):
-                sites[index][site]()
+                bumping.increment(POINTS[index])
 
-    for index, _, by in stream:
+    for index, by in stream:
         exact.increment(POINTS[index], by)
     replay()
     first = by_increment.snapshot()

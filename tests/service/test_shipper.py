@@ -1,5 +1,6 @@
 """The shipper client: delta cutting, backpressure, reconnect, spill."""
 
+import contextlib
 import errno
 import socket
 import threading
@@ -423,6 +424,32 @@ def test_background_thread_flushes_periodically(aggregator):
         assert aggregator.total_counts() == 6
     finally:
         shipper.close()
+
+
+def test_a_strict_background_shipper_retries_after_a_degradation():
+    """Under strict, a failed background flush is logged and retried at the
+    next interval, so counts reach an aggregator that comes up later
+    without a close()."""
+    dead = _dead_address()
+    counters = CounterSet(name="ds")
+    shipper = ProfileShipper(
+        counters,
+        dead,
+        policy=ProfilePolicy.STRICT,
+        flush_interval=0.05,
+        backoff_max=0.2,
+    ).start()
+    try:
+        counters.increment(POINTS[0], by=7)
+        time.sleep(0.3)  # several flushes fail against the dead port
+        with ProfileAggregator(dead) as aggregator:
+            deadline = time.monotonic() + 5.0
+            while aggregator.total_counts() < 7 and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert aggregator.total_counts() == 7
+    finally:
+        with contextlib.suppress(ProfileError):
+            shipper.close()
 
 
 def _unspillable_shipper(tmp_path, policy):
